@@ -17,12 +17,8 @@ coefficient pairs.
 from .coeffs import (
     HypothesisViolation,
     ViscosityModel,
-    a_eval,
-    cutoff_hq,
     kirchhoff_A,
     kirchhoff_A_inv,
-    nu_eval,
-    truncate,
 )
 from .fixedpoint import (
     KStep,
@@ -38,10 +34,8 @@ from .fixedpoint import (
     solve_u_given_k,
 )
 from .grid import (
-    FaceVectorField,
     Grid,
     ScalarField,
-    gradient,
     integrate,
     linf_norm,
     lp_norm,
@@ -74,10 +68,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FaceVectorField",
     "Grid",
     "ScalarField",
-    "gradient",
     "integrate",
     "linf_norm",
     "lp_norm",
@@ -85,12 +77,8 @@ __all__ = [
     "weighted_energy",
     "HypothesisViolation",
     "ViscosityModel",
-    "a_eval",
-    "cutoff_hq",
     "kirchhoff_A",
     "kirchhoff_A_inv",
-    "nu_eval",
-    "truncate",
     "DiffusionOperator",
     "LinearSolveError",
     "LinearSolveReport",

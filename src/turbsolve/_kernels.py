@@ -1,136 +1,60 @@
 """Hot numeric kernels: stencil matvec, face gradients, dissipation density.
 
-Each kernel exists twice: a numba ``@njit`` loop version and a sliced
-pure-numpy version.  Both are written so the per-cell arithmetic is the
-same IEEE expression tree, so the two paths produce bit-identical
-results; ``tests/test_kernels.py`` pins that.
-
-Path selection: env var ``TURBSOLVE_NUMBA`` = ``1``/``0`` forces a path,
-anything else (or unset) means "numba when importable".  The module-level
-``USE_NUMBA`` flag is read on every call, so benchmarks can flip it at
-runtime.
+One sliced-numpy implementation of each; every grid operator and solver
+layer goes through these three functions.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
+# The package has a single numpy kernel path and never reads this flag.  It
+# stays because the benchmark's run record (perfbench/run.py) reads it to
+# name the kernel path, and the benchmark files must not change with the
+# package.
+USE_NUMBA = False
 
 
-def resolve_flag(raw, available=NUMBA_AVAILABLE):
-    """Map a TURBSOLVE_NUMBA env value to a concrete path choice."""
-    if raw is None:
-        return available
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return available
-    if value in ("0", "false", "no", "off"):
-        return False
-    return available
-
-
-USE_NUMBA = resolve_flag(os.environ.get("TURBSOLVE_NUMBA"))
-
-
-def _face_gradients_numpy(v, hx, hy):
+def _face_gradients(v, hx, hy):
     nx, ny = v.shape
     gx = np.empty((nx + 1, ny))
     gy = np.empty((nx, ny + 1))
-    gx[1:nx, :] = (v[1:, :] - v[:-1, :]) / hx
+    np.subtract(v[1:, :], v[:-1, :], out=gx[1:nx, :])
+    gx[1:nx, :] /= hx
     gx[0, :] = (2.0 * v[0, :]) / hx
     gx[nx, :] = (-2.0 * v[nx - 1, :]) / hx
-    gy[:, 1:ny] = (v[:, 1:] - v[:, :-1]) / hy
+    np.subtract(v[:, 1:], v[:, :-1], out=gy[:, 1:ny])
+    gy[:, 1:ny] /= hy
     gy[:, 0] = (2.0 * v[:, 0]) / hy
     gy[:, ny] = (-2.0 * v[:, ny - 1]) / hy
     return gx, gy
 
 
-@njit(cache=True)
-def _face_gradients_numba(v, hx, hy):
-    nx, ny = v.shape
-    gx = np.empty((nx + 1, ny))
-    gy = np.empty((nx, ny + 1))
-    for j in range(ny):
-        gx[0, j] = (2.0 * v[0, j]) / hx
-        for i in range(1, nx):
-            gx[i, j] = (v[i, j] - v[i - 1, j]) / hx
-        gx[nx, j] = (-2.0 * v[nx - 1, j]) / hx
-    for i in range(nx):
-        gy[i, 0] = (2.0 * v[i, 0]) / hy
-        for j in range(1, ny):
-            gy[i, j] = (v[i, j] - v[i, j - 1]) / hy
-        gy[i, ny] = (-2.0 * v[i, ny - 1]) / hy
-    return gx, gy
-
-
-def _matvec_numpy(v, cfx, cfy, hx, hy):
-    gx, gy = _face_gradients_numpy(v, hx, hy)
-    fx = cfx * gx
-    fy = cfy * gy
-    return (fx[:-1, :] - fx[1:, :]) / hx + (fy[:, :-1] - fy[:, 1:]) / hy
-
-
-@njit(cache=True)
-def _matvec_numba(v, cfx, cfy, hx, hy):
-    nx, ny = v.shape
-    gx, gy = _face_gradients_numba(v, hx, hy)
-    out = np.empty((nx, ny))
-    for i in range(nx):
-        for j in range(ny):
-            out[i, j] = (cfx[i, j] * gx[i, j] - cfx[i + 1, j] * gx[i + 1, j]) / hx + (
-                cfy[i, j] * gy[i, j] - cfy[i, j + 1] * gy[i, j + 1]
-            ) / hy
-    return out
-
-
-def _dissipation_numpy(v, cfx, cfy, kx, ky, hx, hy):
-    gx, gy = _face_gradients_numpy(v, hx, hy)
-    tx = kx[:, None] * ((cfx * gx) * gx)
-    ty = ky[None, :] * ((cfy * gy) * gy)
-    return 0.5 * ((tx[:-1, :] + tx[1:, :]) + (ty[:, :-1] + ty[:, 1:]))
-
-
-@njit(cache=True)
-def _dissipation_numba(v, cfx, cfy, kx, ky, hx, hy):
-    nx, ny = v.shape
-    gx, gy = _face_gradients_numba(v, hx, hy)
-    out = np.empty((nx, ny))
-    for i in range(nx):
-        for j in range(ny):
-            tw = kx[i] * ((cfx[i, j] * gx[i, j]) * gx[i, j])
-            te = kx[i + 1] * ((cfx[i + 1, j] * gx[i + 1, j]) * gx[i + 1, j])
-            ts = ky[j] * ((cfy[i, j] * gy[i, j]) * gy[i, j])
-            tn = ky[j + 1] * ((cfy[i, j + 1] * gy[i, j + 1]) * gy[i, j + 1])
-            out[i, j] = 0.5 * ((tw + te) + (ts + tn))
-    return out
-
-
 def face_gradients(v, hx, hy):
-    """Two-point face differences of a cell field, Dirichlet mirror ghosts."""
-    if USE_NUMBA:
-        return _face_gradients_numba(v, hx, hy)
-    return _face_gradients_numpy(v, hx, hy)
+    """Two-point face differences of a cell field, Dirichlet mirror ghosts.
+
+    Interior x-face i holds (v[i] - v[i-1])/hx; the wall faces hold
+    +-2 v_adjacent / h, the one-sided difference against the zero wall
+    value at distance h/2.
+    """
+    # The other kernels call the private body, so that the benchmark's
+    # tracer, which wraps this public name, counts only calls from outside.
+    return _face_gradients(v, hx, hy)
 
 
 def diffusion_matvec(v, cfx, cfy, hx, hy):
     """Pointwise -div(c grad v) for per-face coefficients cfx, cfy."""
-    if USE_NUMBA:
-        return _matvec_numba(v, cfx, cfy, hx, hy)
-    return _matvec_numpy(v, cfx, cfy, hx, hy)
+    # Same IEEE operations as (cfx*gx)[:-1] - ... written in place: every
+    # temporary of a 129^2 grid is a fresh heap block, and with glibc's
+    # default trim threshold a CG iteration whose temporaries outgrew the
+    # free heap page-faulted all of them anew.
+    gx, gy = _face_gradients(v, hx, hy)
+    gx *= cfx
+    gy *= cfy
+    out = gx[:-1, :] - gx[1:, :]
+    out /= hx
+    t = gy[:, :-1] - gy[:, 1:]
+    t /= hy
+    out += t
+    return out
 
 
 def dissipation_cells(v, cfx, cfy, kx, ky, hx, hy):
@@ -140,20 +64,7 @@ def dissipation_cells(v, cfx, cfy, kx, ky, hx, hy):
     cell sums reproduce <A(c)v, v> exactly, which the coupled solver's
     substitution identities rely on.
     """
-    if USE_NUMBA:
-        return _dissipation_numba(v, cfx, cfy, kx, ky, hx, hy)
-    return _dissipation_numpy(v, cfx, cfy, kx, ky, hx, hy)
-
-
-def warmup():
-    """Trigger JIT compilation on a tiny problem (no-op on the numpy path)."""
-    if not USE_NUMBA:
-        return
-    v = np.ones((3, 3))
-    cfx = np.ones((4, 3))
-    cfy = np.ones((3, 4))
-    kx = np.ones(4)
-    ky = np.ones(4)
-    _face_gradients_numba(v, 0.5, 0.5)
-    _matvec_numba(v, cfx, cfy, 0.5, 0.5)
-    _dissipation_numba(v, cfx, cfy, kx, ky, 0.5, 0.5)
+    gx, gy = _face_gradients(v, hx, hy)
+    tx = kx[:, None] * ((cfx * gx) * gx)
+    ty = ky[None, :] * ((cfy * gy) * gy)
+    return 0.5 * ((tx[:-1, :] + tx[1:, :]) + (ty[:, :-1] + ty[:, 1:]))

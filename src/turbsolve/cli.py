@@ -279,24 +279,15 @@ def _out_dir(args, cfg) -> Path:
 
 
 def run_solve(cfg: RunConfig, out: Path) -> int:
-    from .fixedpoint import chi_decoupled_solve, picard_solve
-
     f = cfg.build_source()
-    chi = None
-    if cfg.route == "chi":
-        u, k, chi, report = chi_decoupled_solve(cfg.model, cfg.solve_n, f, cfg.picard)
-    else:
-        u, k, report = picard_solve(
-            cfg.model, cfg.solve_n, f, cfg.picard,
-            k_update="direct" if cfg.route == "direct" else "kirchhoff",
-        )
-    entry = SweepEntry(report=report, u=u, k=k, chi=chi)
+    [entry] = n_sweep(cfg.model, f, [cfg.solve_n], cfg.picard, route=cfg.route)
+    report = entry.report
     _write_csv(out / "solve.csv", SWEEP_COLUMNS, _sweep_rows([entry]))
     _write_json(out / "report.json", {"config": config_echo(cfg), "reports": [report.to_dict()]})
-    write_field(out / "u.txt", u)
-    write_field(out / "k.txt", k)
-    if chi is not None:
-        write_field(out / "chi.txt", chi)
+    write_field(out / "u.txt", entry.u)
+    write_field(out / "k.txt", entry.k)
+    if entry.chi is not None:
+        write_field(out / "chi.txt", entry.chi)
     if not report.converged:
         print(f"solve did not converge (last increment {report.final_increment:g})", file=sys.stderr)
         return 1
@@ -357,17 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turbsolve",
         description="Coupled eddy-viscosity system: solve, sweep, verify, mms.",
-        epilog=(
-            "Env: TURBSOLVE_NUMBA selects the kernel path (1/0/auto); "
-            "TURBSOLVE_SEED is reserved and unused (the solver is deterministic)."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "sweep", "verify", "mms"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="kernel threads (numba path)")
         if name == "verify":
             p.add_argument("--u", required=True, help="stored u field dump")
             p.add_argument("--k", required=True, help="stored k field dump")
@@ -380,20 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _set_threads(count):
-    if count is None:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, min(count, numba.config.NUMBA_NUM_THREADS)))
-    except Exception:
-        pass  # numpy path or fixed thread pool: best effort only
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
         cfg = load_config(args.config)
     except (HypothesisViolation, ValueError, KeyError, configparser.Error) as exc:

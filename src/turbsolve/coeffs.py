@@ -1,4 +1,4 @@
-"""Viscosity pair (nu, a): evaluation, truncation, cutoffs, flux transform.
+"""Viscosity pair (nu, a): evaluation, truncation, flux transform.
 
 The model couples two scalar coefficients on s >= 0, both bounded below by
 a floor delta > 0 (assumption H0).  Three kinds are supported:
@@ -168,16 +168,6 @@ class ViscosityModel:
         return min(1.0, self.h1_ratio_inf())
 
 
-def nu_eval(m: ViscosityModel, s):
-    """nu(s); rejects s < 0 (turbulent energy is nonnegative)."""
-    return m.nu(s)
-
-
-def a_eval(m: ViscosityModel, s):
-    """a(s); proportional pairs return exactly gamma * nu(s)."""
-    return m.a(s)
-
-
 def _check_level(n) -> int:
     level = int(n)
     if level != n or level < 1:
@@ -185,21 +175,21 @@ def _check_level(n) -> int:
     return level
 
 
-def truncate(t, n):
-    """min(n, t) applied elementwise; caps unbounded coefficients/sources."""
-    level = _check_level(n)
-    return np.minimum(float(level), t)
+def truncated_coefficients(m: ViscosityModel, s, n: int):
+    """(nu_n, a_n, clipped) at state s: the coefficients capped at level n.
 
-
-def cutoff_hq(s, q: int):
-    """Piecewise-linear cutoff: 1 on |s|<=q, 0 beyond 2q, slope 1/q between.
-
-    This is the minimal realization of the localization family: values in
-    [0,1], support in [-2q,2q], Lipschitz constant 1/q, and pointwise
-    limit 1 as q grows.
+    nu_n = min(n, nu(s)); a_n = gamma * nu_n for proportional pairs and
+    min(n, a(s)) otherwise.  ``clipped`` says whether either cap bound
+    anywhere.  Every solver route and every certified estimate evaluates
+    the truncated coefficients through here.
     """
-    level = _check_level(q)
-    return np.clip((2.0 * level - np.abs(s)) / level, 0.0, 1.0)
+    nu_raw = m.nu(s)
+    nu_n = np.minimum(float(n), nu_raw)
+    clipped = bool(np.any(nu_raw > n))
+    if m.gamma is not None:
+        return nu_n, m.gamma * nu_n, clipped
+    a_raw = m.a(s)
+    return nu_n, np.minimum(float(n), a_raw), clipped or bool(np.any(a_raw > n))
 
 
 def kirchhoff_A(m: ViscosityModel, s):

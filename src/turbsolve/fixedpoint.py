@@ -27,10 +27,12 @@ solver is a damped Picard iteration with lagged coefficients: its fixed
 points are exactly the discrete solutions.  Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
 (solve -Lap K = source with K = A(k), then map back through A_inv), and
-the chi route (proportional pairs only).
+the chi route (proportional pairs only).  One driver runs all three; they
+differ only in the k-update step it is given.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,6 +44,7 @@ from .coeffs import (
     _check_level,
     kirchhoff_A,
     kirchhoff_A_inv,
+    truncated_coefficients,
 )
 from .grid import Grid, ScalarField, face_average, face_weights, linf_norm, weighted_energy
 from .linsolve import INNER_TOL, assemble, solve_spd
@@ -107,10 +110,11 @@ class SolveReport:
 
 
 class KStep(NamedTuple):
+    """Result of one k-update: the new k and the negative cells zeroed."""
+
     field: ScalarField
     clamp_count: int
-    source_clipped: bool
-    coeff_clipped: bool
+    chi: Optional[ScalarField] = None  # the chi route's auxiliary unknown
 
 
 def dissipation_source(u: ScalarField, c: ScalarField) -> ScalarField:
@@ -132,24 +136,22 @@ def dissipation_source(u: ScalarField, c: ScalarField) -> ScalarField:
     return ScalarField(g, vals)
 
 
+def _truncated_source(u: ScalarField, nu_n: np.ndarray, n: int):
+    """k-equation source min(n, D(u, nu_n)) and whether the cap bound anywhere."""
+    raw = dissipation_source(u, ScalarField(u.grid, nu_n)).values
+    return np.minimum(float(n), raw), bool(np.any(raw > n))
+
+
+def _clamp(values: np.ndarray):
+    """Zero the negative cells; returns the clamped values and how many were zeroed."""
+    negative = values < 0
+    count = int(np.count_nonzero(negative))
+    return (np.where(negative, 0.0, values) if count else values), count
+
+
 def _nonnegative(field: ScalarField, name: str):
     if np.any(field.values < 0):
         raise ValueError(f"{name} must be nonnegative cellwise")
-
-
-def _coefficients(m: ViscosityModel, k: np.ndarray, n: int):
-    """(nu_n, a_n) cell arrays plus truncation flags at state k."""
-    nu_raw = m.nu(k)
-    nu_n = np.minimum(float(n), nu_raw)
-    nu_clipped = bool(np.any(nu_raw > n))
-    if m.gamma is not None:
-        a_n = m.gamma * nu_n
-        a_clipped = nu_clipped
-    else:
-        a_raw = m.a(k)
-        a_n = np.minimum(float(n), a_raw)
-        a_clipped = bool(np.any(a_raw > n))
-    return nu_n, a_n, nu_clipped, a_clipped
 
 
 def solve_u_given_k(
@@ -158,7 +160,7 @@ def solve_u_given_k(
     """u-solve with frozen coefficient min(n, nu(k))."""
     n = _check_level(n)
     _nonnegative(k, "k")
-    nu_n, _, _, _ = _coefficients(m, k.values, n)
+    nu_n, _, _ = truncated_coefficients(m, k.values, n)
     op = assemble(ScalarField(k.grid, nu_n))
     u, _ = solve_spd(op, f, tol=inner_tol)
     return u
@@ -175,17 +177,12 @@ def solve_k_given_u(
     """
     n = _check_level(n)
     _nonnegative(k_lag, "k_lag")
-    nu_n, a_n, nu_clip, a_clip = _coefficients(m, k_lag.values, n)
-    raw = dissipation_source(u, ScalarField(u.grid, nu_n))
-    src_clipped = bool(np.any(raw.values > n))
-    source = ScalarField(u.grid, np.minimum(float(n), raw.values))
+    nu_n, a_n, _ = truncated_coefficients(m, k_lag.values, n)
+    source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField(u.grid, a_n))
-    k, _ = solve_spd(op, source, tol=inner_tol)
-    negative = k.values < 0
-    clamp_count = int(np.count_nonzero(negative))
-    if clamp_count:
-        k = ScalarField(k.grid, np.where(negative, 0.0, k.values))
-    return KStep(k, clamp_count, src_clipped, nu_clip or a_clip)
+    k, _ = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol)
+    k_vals, clamp_count = _clamp(k.values)
+    return KStep(ScalarField(u.grid, k_vals), clamp_count)
 
 
 def kirchhoff_k_solve(
@@ -201,21 +198,25 @@ def kirchhoff_k_solve(
     n = _check_level(n)
     _nonnegative(k_lag, "k_lag")
     g = u.grid
-    K_lag = kirchhoff_A(m, k_lag.values)
-    k_back = kirchhoff_A_inv(m, K_lag)
-    nu_raw = m.nu(k_back)
-    nu_n = np.minimum(float(n), nu_raw)
-    nu_clip = bool(np.any(nu_raw > n))
-    raw = dissipation_source(u, ScalarField(g, nu_n))
-    src_clipped = bool(np.any(raw.values > n))
-    source = ScalarField(g, np.minimum(float(n), raw.values))
+    k_back = kirchhoff_A_inv(m, kirchhoff_A(m, k_lag.values))
+    nu_n, _, _ = truncated_coefficients(m, k_back, n)
+    source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
-    K, _ = solve_spd(op, source, tol=inner_tol)
-    negative = K.values < 0
-    clamp_count = int(np.count_nonzero(negative))
-    K_vals = np.where(negative, 0.0, K.values)
-    k = ScalarField(g, kirchhoff_A_inv(m, K_vals))
-    return KStep(k, clamp_count, src_clipped, nu_clip)
+    K, _ = solve_spd(op, ScalarField(g, source), tol=inner_tol)
+    K_vals, clamp_count = _clamp(K.values)
+    return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count)
+
+
+def _chi_k_step(
+    f: ScalarField, u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int,
+    inner_tol: float = INNER_TOL,
+) -> KStep:
+    """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - (gamma/2) u^2)."""
+    _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
+    op = assemble(ScalarField(u.grid, a_n))
+    chi, _ = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol)
+    k_vals, clamp_count = _clamp(chi.values - 0.5 * m.gamma * u.values**2)
+    return KStep(ScalarField(u.grid, k_vals), clamp_count, chi)
 
 
 def _initial_state(grid: Grid, cfg: PicardConfig, u0, k0):
@@ -230,11 +231,9 @@ def _initial_state(grid: Grid, cfg: PicardConfig, u0, k0):
     return u, k
 
 
-def _final_report(m, n, f, u, k, cfg, iterations, converged, increment, clamp_count):
-    nu_n, a_n, nu_clip, a_clip = _coefficients(m, k.values, n)
-    raw = dissipation_source(u, ScalarField(u.grid, nu_n))
-    src_clip = bool(np.any(raw.values > n))
-    source = np.minimum(float(n), raw.values)
+def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
+    nu_n, a_n, coeff_clip = truncated_coefficients(m, k.values, n)
+    source, src_clip = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField(u.grid, a_n))
     resid = op.apply(k.values) - source
     scale = max(float(np.linalg.norm(source)), 1e-300)
@@ -250,46 +249,31 @@ def _final_report(m, n, f, u, k, cfg, iterations, converged, increment, clamp_co
         dissipation=dissipation,
         linf_u=linf_norm(u),
         linf_k=linf_norm(k),
-        truncation_active=bool(nu_clip or a_clip or src_clip),
+        truncation_active=bool(coeff_clip or src_clip),
         clamp_count=clamp_count,
         k_residual=k_residual,
     )
 
 
-def picard_solve(
-    m: ViscosityModel,
-    n: int,
-    f: ScalarField,
-    cfg: PicardConfig,
-    u0: Optional[ScalarField] = None,
-    k0: Optional[ScalarField] = None,
-    k_update: str = "direct",
-) -> tuple[ScalarField, ScalarField, SolveReport]:
-    """Damped Picard iteration alternating the u- and k-solves.
+def _picard(m, n, f, cfg, u0, k0, k_step):
+    """Damped Picard iteration alternating the u-solve and ``k_step``.
 
-    Stops when max(|du|_inf, |dk|_inf) <= tol.  On convergence the
-    returned u is re-solved once at the final k so the pair satisfies the
-    u-equation to inner-solve accuracy (the k-equation keeps its lag
-    residual, reported as ``k_residual``).  Non-convergence is returned,
-    not raised: the report carries the iteration count and last
-    increment; linear-solve failures propagate as exceptions.
+    Stops when max(|du|_inf, |dk|_inf) <= tol.  With damping 1.0 it
+    falls back to 0.5 for the rest of the solve the first time the
+    increment grows.  On convergence u is re-solved once at the final k,
+    so the pair satisfies the u-equation to inner-solve accuracy.
+    Returns (u, k, report, last KStep).
     """
-    n = _check_level(n)
-    if k_update not in ("direct", "kirchhoff"):
-        raise ValueError(f"unknown k_update {k_update!r}")
-    step = solve_k_given_u if k_update == "direct" else kirchhoff_k_solve
-
     u, k = _initial_state(f.grid, cfg, u0, k0)
     omega = cfg.damping
     clamp_total = 0
     increment = float("inf")
     prev_increment = float("inf")
     converged = False
-    iterations = 0
 
     for iterations in range(1, cfg.max_outer + 1):
         u_new = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol)
-        kstep = step(u_new, k, m, n, inner_tol=cfg.inner_tol)
+        kstep = k_step(u_new, k, m, n, inner_tol=cfg.inner_tol)
         clamp_total += kstep.clamp_count
         k_vals = (1.0 - omega) * k.values + omega * kstep.field.values
         k_new = ScalarField(k.grid, k_vals)
@@ -305,7 +289,32 @@ def picard_solve(
 
     if converged:
         u = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol)
-    report = _final_report(m, n, f, u, k, cfg, iterations, converged, increment, clamp_total)
+    report = _final_report(m, n, u, k, iterations, converged, increment, clamp_total)
+    return u, k, report, kstep
+
+
+def picard_solve(
+    m: ViscosityModel,
+    n: int,
+    f: ScalarField,
+    cfg: PicardConfig,
+    u0: Optional[ScalarField] = None,
+    k0: Optional[ScalarField] = None,
+    k_update: str = "direct",
+) -> tuple[ScalarField, ScalarField, SolveReport]:
+    """Coupled solve on the ``direct`` or ``kirchhoff`` k-update.
+
+    The returned u is re-solved at the final k, so the pair satisfies the
+    u-equation to inner-solve accuracy (the k-equation keeps its lag
+    residual, reported as ``k_residual``).  Non-convergence is returned,
+    not raised: the report carries the iteration count and last
+    increment; linear-solve failures propagate as exceptions.
+    """
+    n = _check_level(n)
+    if k_update not in ("direct", "kirchhoff"):
+        raise ValueError(f"unknown k_update {k_update!r}")
+    step = solve_k_given_u if k_update == "direct" else kirchhoff_k_solve
+    u, k, report, _ = _picard(m, n, f, cfg, u0, k0, step)
     return u, k, report
 
 
@@ -323,45 +332,14 @@ def chi_decoupled_solve(
     A(a_n(k)) chi = f u; recover k = max(0, chi - (gamma/2) u^2).
     Requires gamma set (a = gamma * nu); for gamma = 1 its fixed points
     coincide with the direct route whenever no truncation is active.
+    As on the other routes, u is re-solved at the final k on
+    convergence; the returned chi is the last iterate's.
     """
     n = _check_level(n)
     if m.gamma is None:
         raise HypothesisViolation("H2", "the chi route needs a proportional pair (gamma set)")
-    gamma = m.gamma
-
-    u, k = _initial_state(f.grid, cfg, u0, k0)
-    chi = ScalarField.zeros(f.grid)
-    omega = cfg.damping
-    clamp_total = 0
-    increment = float("inf")
-    prev_increment = float("inf")
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_outer + 1):
-        u_new = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol)
-        _, a_n, _, _ = _coefficients(m, k.values, n)
-        op = assemble(ScalarField(f.grid, a_n))
-        rhs = ScalarField(f.grid, f.values * u_new.values)
-        chi, _ = solve_spd(op, rhs, tol=cfg.inner_tol)
-        k_target = chi.values - 0.5 * gamma * u_new.values**2
-        negative = k_target < 0
-        clamp_total += int(np.count_nonzero(negative))
-        k_target = np.where(negative, 0.0, k_target)
-        k_vals = (1.0 - omega) * k.values + omega * k_target
-        k_new = ScalarField(k.grid, k_vals)
-        increment = max(linf_norm(ScalarField(u.grid, u_new.values - u.values)),
-                        linf_norm(ScalarField(k.grid, k_new.values - k.values)))
-        u, k = u_new, k_new
-        if increment <= cfg.tol:
-            converged = True
-            break
-        if increment > prev_increment and omega == 1.0:
-            omega = 0.5
-        prev_increment = increment
-
-    report = _final_report(m, n, f, u, k, cfg, iterations, converged, increment, clamp_total)
-    return u, k, chi, report
+    u, k, report, kstep = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f))
+    return u, k, kstep.chi, report
 
 
 @dataclass
@@ -406,10 +384,7 @@ def n_sweep(
         if route == "chi":
             u, k, chi, report = chi_decoupled_solve(m, n, f, cfg, u0=u_prev, k0=k_prev)
         else:
-            u, k, report = picard_solve(
-                m, n, f, cfg, u0=u_prev, k0=k_prev,
-                k_update="direct" if route == "direct" else "kirchhoff",
-            )
+            u, k, report = picard_solve(m, n, f, cfg, u0=u_prev, k0=k_prev, k_update=route)
         entry = SweepEntry(report=report, u=u, k=k, chi=chi)
         if u_prev is not None:
             entry.diff_u = linf_norm(ScalarField(f.grid, u.values - u_prev.values))

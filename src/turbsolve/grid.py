@@ -70,10 +70,7 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
 def _as_values(grid, values):
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.shape != grid.shape:
-        if arr.size == grid.nx * grid.ny:
-            arr = arr.reshape(grid.shape)
-        else:
-            raise ValueError(f"values shape {arr.shape} does not match grid {grid.shape}")
+        raise ValueError(f"values shape {arr.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite")
     return arr
@@ -105,36 +102,6 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
-
-
-@dataclass(eq=False)
-class FaceVectorField:
-    """Per-face values of a discrete gradient: fx on x-faces, fy on y-faces."""
-
-    grid: Grid
-    fx: np.ndarray  # (nx+1, ny)
-    fy: np.ndarray  # (nx, ny+1)
-
-    def __post_init__(self):
-        nx, ny = self.grid.shape
-        self.fx = np.ascontiguousarray(self.fx, dtype=np.float64)
-        self.fy = np.ascontiguousarray(self.fy, dtype=np.float64)
-        if self.fx.shape != (nx + 1, ny) or self.fy.shape != (nx, ny + 1):
-            raise ValueError("face array shapes do not match grid")
-        if not (np.all(np.isfinite(self.fx)) and np.all(np.isfinite(self.fy))):
-            raise ValueError("face values must be finite")
-
-
-def gradient(v: ScalarField) -> FaceVectorField:
-    """Two-point face differences with Dirichlet mirror ghosts.
-
-    Interior x-face i holds (v[i] - v[i-1])/hx; the wall faces hold
-    +-2 v_adjacent / h, the one-sided difference against the zero wall
-    value at distance h/2.
-    """
-    g = v.grid
-    gx, gy = _kernels.face_gradients(v.values, g.hx, g.hy)
-    return FaceVectorField(g, gx, gy)
 
 
 def integrate(v: ScalarField) -> float:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .coeffs import ViscosityModel, _check_level
+from .coeffs import ViscosityModel, _check_level, truncated_coefficients
 from .fixedpoint import PicardConfig, picard_solve
 from .grid import (
     Grid,
@@ -89,22 +89,13 @@ class InvariantReport:
         }
 
 
-def _nu_n_field(k: ScalarField, m: ViscosityModel, n: int) -> ScalarField:
-    return ScalarField(k.grid, np.minimum(float(n), m.nu(k.values)))
-
-
-def _a_n_field(k: ScalarField, m: ViscosityModel, n: int) -> ScalarField:
-    if m.gamma is not None:
-        return ScalarField(k.grid, m.gamma * np.minimum(float(n), m.nu(k.values)))
-    return ScalarField(k.grid, np.minimum(float(n), m.a(k.values)))
-
-
 def energy_identity_residual(
     u: ScalarField, k: ScalarField, f: ScalarField, m: ViscosityModel, n: int
 ) -> float:
     """|E - sum f u m| / max(|sum f u m|, 1e-14) with E the face energy."""
     n = _check_level(n)
-    E = weighted_energy(_nu_n_field(k, m, n), u)
+    nu_n, _, _ = truncated_coefficients(m, k.values, n)
+    E = weighted_energy(ScalarField(k.grid, nu_n), u)
     load = integrate(ScalarField(u.grid, f.values * u.values))
     return abs(E - load) / max(abs(load), ABS_FLOOR)
 
@@ -150,15 +141,15 @@ def idee_residual(
     if test_set is None:
         test_set = default_test_fields(u.grid)
     g = u.grid
-    nu_n = _nu_n_field(k, m, n)
-    cfx, cfy = face_average(nu_n.values)
+    nu_n, _, _ = truncated_coefficients(m, k.values, n)
+    cfx, cfy = face_average(nu_n)
     kx, ky = face_weights(g)
     m_cell = g.cell_area
     wx = kx[:, None] * m_cell
     wy = ky[None, :] * m_cell
     gux, guy = _kernels.face_gradients(u.values, g.hx, g.hy)
     umx, umy = dirichlet_face_mean(u.values)
-    energy = weighted_energy(nu_n, u)
+    energy = weighted_energy(ScalarField(g, nu_n), u)
 
     worst = 0.0
     for phi in test_set:
@@ -213,7 +204,7 @@ def sqrt_nu_seminorm(k: ScalarField, m: ViscosityModel, n: int) -> float:
     """
     n = _check_level(n)
     g = k.grid
-    root = np.sqrt(np.minimum(float(n), m.nu(k.values)))
+    root = np.sqrt(truncated_coefficients(m, k.values, n)[0])
     gx = (root[1:, :] - root[:-1, :]) / g.hx
     gy = (root[:, 1:] - root[:, :-1]) / g.hy
     m_cell = g.cell_area
@@ -272,8 +263,8 @@ def lp_flux_norm(k: ScalarField, m: ViscosityModel, n: int, p: float) -> float:
         raise ValueError(f"the flux exponent must lie in [1, 3/2), got p = {p}")
     n = _check_level(n)
     g = k.grid
-    a_n = _a_n_field(k, m, n)
-    cfx, cfy = face_average(a_n.values)
+    _, a_n, _ = truncated_coefficients(m, k.values, n)
+    cfx, cfy = face_average(a_n)
     kxw, kyw = face_weights(g)
     gx, gy = _kernels.face_gradients(k.values, g.hx, g.hy)
     wx = kxw[:, None] * (0.5 * g.cell_area)
@@ -296,8 +287,7 @@ def full_report(
     if p >= 1.5:
         raise ValueError(f"the flux exponent must stay below 3/2, got p = {p}")
     n = _check_level(n)
-    nu_n = _nu_n_field(k, m, n)
-    a_n = _a_n_field(k, m, n)
+    nu_n, a_n, _ = truncated_coefficients(m, k.values, n)
     linf_u = linf_norm(u)
     s_top = linf_u * (1.0 + 1e-12)
     if s_top > 0:
@@ -307,8 +297,8 @@ def full_report(
     rho, beta = stampacchia_exponents(r)
     chi_linf = chi_bound_check(u, k, m.gamma) if m.gamma is not None else None
     return InvariantReport(
-        energy=weighted_energy(nu_n, u),
-        dissipation=weighted_energy(a_n, k),
+        energy=weighted_energy(ScalarField(k.grid, nu_n), u),
+        dissipation=weighted_energy(ScalarField(k.grid, a_n), k),
         lp_a_gradk=lp_flux_norm(k, m, n, p),
         lp_exponent=p,
         linf_u=linf_u,

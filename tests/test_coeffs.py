@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from turbsolve import (
     HypothesisViolation,
+    ScalarField,
     ViscosityModel,
-    a_eval,
-    cutoff_hq,
     kirchhoff_A,
     kirchhoff_A_inv,
-    nu_eval,
-    truncate,
+    make_grid,
+    solve_u_given_k,
 )
+from turbsolve.coeffs import truncated_coefficients
 
 SQRT_MODEL = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=2.0, a1=1.0, a2=1.0, delta=1.0)
 UNIT_SQRT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0, delta=1.0)
@@ -24,21 +24,21 @@ class TestEvaluation:
     def test_constant_model(self):
         m = ViscosityModel(kind="constant", nu1=1.0, a1=2.0, delta=0.5)
         for s in (0.0, 3.7, 100.0):
-            assert nu_eval(m, s) == 1.0
-            assert a_eval(m, s) == 2.0
+            assert m.nu(s) == 1.0
+            assert m.a(s) == 2.0
 
     def test_sqrt_model(self):
-        assert nu_eval(SQRT_MODEL, 4.0) == pytest.approx(5.0)
-        assert a_eval(SQRT_MODEL, 4.0) == pytest.approx(3.0)
+        assert SQRT_MODEL.nu(4.0) == pytest.approx(5.0)
+        assert SQRT_MODEL.a(4.0) == pytest.approx(3.0)
 
     def test_rejects_negative_s(self):
         with pytest.raises(ValueError):
-            nu_eval(SQRT_MODEL, -1.0)
+            SQRT_MODEL.nu(-1.0)
         with pytest.raises(ValueError):
-            a_eval(SQRT_MODEL, np.array([0.5, -0.1]))
+            SQRT_MODEL.a(np.array([0.5, -0.1]))
 
     def test_vectorized(self):
-        out = nu_eval(SQRT_MODEL, np.array([0.0, 1.0, 4.0]))
+        out = SQRT_MODEL.nu(np.array([0.0, 1.0, 4.0]))
         assert np.allclose(out, [1.0, 3.0, 5.0])
 
     def test_floor_validation(self):
@@ -52,7 +52,7 @@ class TestEvaluation:
         m = ViscosityModel(kind="physical_sqrt", nu1=2.0, nu2=3.0, a1=1.0, a2=1.5,
                            gamma=0.5, delta=0.5)
         s = np.linspace(0.0, 50.0, 101)
-        assert np.array_equal(a_eval(m, s), 0.5 * nu_eval(m, s))
+        assert np.array_equal(m.a(s), 0.5 * m.nu(s))
 
     def test_proportional_mismatch_rejected(self):
         with pytest.raises(HypothesisViolation) as info:
@@ -82,47 +82,24 @@ class TestRatioFloor:
 class TestTruncate:
     @pytest.mark.parametrize("t,n,expected", [(5.0, 3, 3.0), (2.0, 10, 2.0), (1.0, 1, 1.0)])
     def test_examples(self, t, n, expected):
-        assert truncate(t, n) == expected
+        m = ViscosityModel(kind="constant", nu1=t, a1=t, delta=1.0)
+        nu_n, a_n, clipped = truncated_coefficients(m, 0.0, n)
+        assert nu_n == a_n == expected
+        assert clipped == (t > n)
 
     def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            truncate(1.0, 0)
-        with pytest.raises(ValueError):
-            truncate(1.0, 2.5)
+        g = make_grid(4, 4, 1.0, 1.0)
+        for level in (0, 2.5):
+            with pytest.raises(ValueError):
+                solve_u_given_k(ScalarField.zeros(g), SQRT_MODEL, level, ScalarField.full(g, 1.0))
 
-    @given(st.floats(-1e6, 1e6), st.integers(1, 1000))
-    def test_bounded_by_both(self, t, n):
-        out = float(truncate(t, n))
-        assert out <= t or math.isclose(out, t)
-        assert out <= n
-        assert out == min(n, t)
-
-
-class TestCutoff:
-    @pytest.mark.parametrize("s,q,expected", [(1.0, 2, 1.0), (3.0, 2, 0.5), (5.0, 2, 0.0)])
-    def test_examples(self, s, q, expected):
-        assert cutoff_hq(s, q) == pytest.approx(expected)
-
-    @given(st.floats(-1e4, 1e4), st.integers(1, 100))
-    def test_range_and_support(self, s, q):
-        h = float(cutoff_hq(s, q))
-        assert 0.0 <= h <= 1.0
-        if abs(s) > 2 * q:
-            assert h == 0.0
-        if abs(s) <= q:
-            assert h == 1.0
-
-    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 50))
-    @settings(max_examples=200)
-    def test_lipschitz_bound(self, s, t, q):
-        lhs = abs(float(cutoff_hq(s, q)) - float(cutoff_hq(t, q)))
-        assert lhs <= abs(s - t) / q * (1 + 1e-12) + 1e-15
-
-    def test_pointwise_limit(self):
-        s = 37.0
-        values = [float(cutoff_hq(s, q)) for q in (1, 2, 8, 64, 256)]
-        assert values[-1] == 1.0
-        assert values == sorted(values)
+    @given(st.floats(0.0, 1e6), st.integers(1, 1000))
+    def test_bounded_by_both(self, s, n):
+        nu_n, a_n, _ = truncated_coefficients(SQRT_MODEL, s, n)
+        for out, raw in ((nu_n, SQRT_MODEL.nu(s)), (a_n, SQRT_MODEL.a(s))):
+            assert out <= raw or math.isclose(out, raw)
+            assert out <= n
+            assert out == min(n, raw)
 
 
 class TestKirchhoffTransform:
@@ -181,9 +158,9 @@ class TestTableModel:
 
     def test_interp_eval(self):
         m = self.make()
-        assert nu_eval(m, 0.5) == pytest.approx(1.5)
-        assert a_eval(m, 2.5) == pytest.approx(5.0)
-        assert nu_eval(m, 100.0) == pytest.approx(3.0)  # clamped beyond the table
+        assert m.nu(0.5) == pytest.approx(1.5)
+        assert m.a(2.5) == pytest.approx(5.0)
+        assert m.nu(100.0) == pytest.approx(3.0)  # clamped beyond the table
 
     def test_transform_matches_quadrature_oracle(self):
         from scipy.integrate import quad
@@ -191,7 +168,7 @@ class TestTableModel:
         m = self.make()
         for s in (0.3, 1.0, 2.2, 4.0, 7.5):
             breaks = [b for b in (1.0, 4.0) if b < s]
-            oracle, _ = quad(lambda t: a_eval(m, t), 0.0, s, points=breaks or None,
+            oracle, _ = quad(lambda t: m.a(t), 0.0, s, points=breaks or None,
                              epsabs=1e-13, epsrel=1e-13, limit=200)
             assert kirchhoff_A(m, s) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
@@ -204,7 +181,7 @@ class TestTableModel:
     def test_proportional_table(self):
         m = self.make(gamma=2.0)
         s = np.linspace(0.0, 6.0, 50)
-        assert np.array_equal(a_eval(m, s), 2.0 * nu_eval(m, s))
+        assert np.array_equal(m.a(s), 2.0 * m.nu(s))
         assert m.h1_ratio_inf() == 2.0
 
     def test_floor_enforced(self):

@@ -11,6 +11,7 @@ from turbsolve import (
     assemble,
     chi_decoupled_solve,
     dissipation_source,
+    energy_identity_residual,
     kirchhoff_k_solve,
     linf_norm,
     make_grid,
@@ -26,9 +27,9 @@ HP_UNIT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0,
                          gamma=1.0, delta=1.0)
 
 
-def gaussian_source(grid, amplitude=1.0, sigma=0.12):
+def gaussian_source(grid, amplitude=1.0, sigma=0.12, centre=(0.5, 0.5)):
     X, Y = grid.cell_centers()
-    r2 = (X - 0.5 * grid.lx) ** 2 + (Y - 0.5 * grid.ly) ** 2
+    r2 = (X - centre[0] * grid.lx) ** 2 + (Y - centre[1] * grid.ly) ** 2
     return ScalarField(grid, amplitude * np.exp(-r2 / (2.0 * sigma**2)))
 
 
@@ -202,6 +203,15 @@ class TestChiRoute:
         assert r2.converged
         assert np.max(np.abs(u1.values - u2.values)) <= 1e-6
         assert np.max(np.abs(k1.values - k2.values)) <= 1e-6
+
+    def test_pair_satisfies_energy_identity(self):
+        # u is re-solved at the final k, as on the direct route; returning
+        # the last iterate's u instead leaves a lagged residual near 1e-11
+        g = make_grid(33, 33, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
+        u, k, _, report = chi_decoupled_solve(HP_UNIT, 32, f, PicardConfig(tol=1e-10))
+        assert report.converged
+        assert energy_identity_residual(u, k, f, HP_UNIT, 32) <= 1e-13
 
 
 class TestKirchhoffRoute:

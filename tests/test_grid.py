@@ -5,13 +5,13 @@ import pytest
 
 from turbsolve import (
     ScalarField,
-    gradient,
     integrate,
     linf_norm,
     lp_norm,
     make_grid,
     weighted_energy,
 )
+from turbsolve._kernels import face_gradients
 
 # analytic oracles on the unit square
 SIN_SIN_INTEGRAL = 4.0 / math.pi**2  # integral of sin(pi x) sin(pi y)
@@ -55,37 +55,46 @@ class TestScalarField:
         with pytest.raises(ValueError):
             ScalarField(g, np.zeros((2, 2)))
 
+    def test_rejects_same_size_wrong_shape(self):
+        # a transposed or flat array holds the right number of values but
+        # would be scrambled by a reshape
+        g = make_grid(3, 2, 1.0, 1.0)
+        values = np.arange(6.0).reshape(3, 2)
+        for wrong in (values.T, values.ravel()):
+            with pytest.raises(ValueError):
+                ScalarField(g, wrong)
+
 
 class TestGradient:
     def test_constant_field(self):
         g = make_grid(4, 4, 1.0, 1.0)
         c = 0.7
-        fv = gradient(ScalarField.full(g, c))
-        assert np.allclose(fv.fx[1:-1, :], 0.0)
-        assert np.allclose(fv.fy[:, 1:-1], 0.0)
-        assert np.allclose(fv.fx[0, :], 2 * c / g.hx)
-        assert np.allclose(fv.fx[-1, :], -2 * c / g.hx)
-        assert np.allclose(fv.fy[:, 0], 2 * c / g.hy)
-        assert np.allclose(fv.fy[:, -1], -2 * c / g.hy)
+        gx, gy = face_gradients(np.full(g.shape, c), g.hx, g.hy)
+        assert np.allclose(gx[1:-1, :], 0.0)
+        assert np.allclose(gy[:, 1:-1], 0.0)
+        assert np.allclose(gx[0, :], 2 * c / g.hx)
+        assert np.allclose(gx[-1, :], -2 * c / g.hx)
+        assert np.allclose(gy[:, 0], 2 * c / g.hy)
+        assert np.allclose(gy[:, -1], -2 * c / g.hy)
 
     def test_linear_field_exact_interior(self):
         g = make_grid(8, 6, 1.0, 1.0)
         v = ScalarField.from_function(g, lambda X, Y: X)
-        fv = gradient(v)
-        assert np.allclose(fv.fx[1:-1, :], 1.0, atol=1e-14)
-        assert np.allclose(fv.fy[:, 1:-1], 0.0, atol=1e-14)
+        gx, gy = face_gradients(v.values, g.hx, g.hy)
+        assert np.allclose(gx[1:-1, :], 1.0, atol=1e-14)
+        assert np.allclose(gy[:, 1:-1], 0.0, atol=1e-14)
 
     def test_affine_field_exact_interior(self):
         g = make_grid(9, 5, 2.0, 1.5)
         v = ScalarField.from_function(g, lambda X, Y: 2.0 * X - 3.0 * Y + 0.25)
-        fv = gradient(v)
-        assert np.allclose(fv.fx[1:-1, :], 2.0, atol=1e-13)
-        assert np.allclose(fv.fy[:, 1:-1], -3.0, atol=1e-13)
+        gx, gy = face_gradients(v.values, g.hx, g.hy)
+        assert np.allclose(gx[1:-1, :], 2.0, atol=1e-13)
+        assert np.allclose(gy[:, 1:-1], -3.0, atol=1e-13)
 
     def test_zero_field(self):
         g = make_grid(3, 3, 1.0, 1.0)
-        fv = gradient(ScalarField.zeros(g))
-        assert not fv.fx.any() and not fv.fy.any()
+        gx, gy = face_gradients(np.zeros(g.shape), g.hx, g.hy)
+        assert not gx.any() and not gy.any()
 
 
 class TestIntegrate:
