@@ -38,7 +38,6 @@ from .grid import (
     ScalarField,
     integrate,
     linf_norm,
-    lp_norm,
     make_grid,
     weighted_energy,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ScalarField",
     "integrate",
     "linf_norm",
-    "lp_norm",
     "make_grid",
     "weighted_energy",
     "HypothesisViolation",

@@ -7,7 +7,8 @@ fields), ``mms`` (manufactured-solution convergence table).
 Configs are INI-style key/value sections (diff-friendly); see the README
 for the full schema.  Outputs are CSV tables, JSON reports and plain-text
 field dumps with a 3-line header (nx, ny, "lx ly") and 17-significant-
-digit values, so identical configs reproduce byte-identical files.
+digit values, so identical configs reproduce byte-identical files at a
+fixed BLAS thread count.
 """
 
 import argparse
@@ -16,25 +17,30 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .coeffs import HypothesisViolation, ViscosityModel
-from .fixedpoint import PicardConfig, SweepEntry, n_sweep
+from .fixedpoint import ROUTES, PicardConfig, SolveReport, SweepEntry, n_sweep
 from .grid import Grid, ScalarField, make_grid
 from .linsolve import LinearSolveError
 from .verify import full_report, manufactured_errors
 
 _FLOAT_FMT = "{:.17g}"
 
-SWEEP_COLUMNS = [
-    "n", "outer_iterations", "converged", "final_increment", "energy",
-    "dissipation", "linf_u", "linf_k", "truncation_active", "clamp_count",
-    "k_residual", "diff_u_prev", "diff_k_prev", "certifies",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SolveReport)] + ["diff_u_prev", "diff_k_prev", "certifies"]
+
+# INI text -> value, by the annotated type of the dataclass field it sets
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    Optional[float]: float,
+    Optional[tuple]: lambda text: tuple(float(t) for t in text.split()),
+}
 
 
 @dataclass
@@ -74,6 +80,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _present(section, cls) -> dict:
+    """The keys of ``section`` that name fields of ``cls``, parsed by field type.
+
+    Absent keys are left out, so the dataclass's own defaults apply.
+    """
+    return {f.name: _PARSERS[f.type](section[f.name]) for f in fields(cls) if f.name in section}
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -85,25 +99,7 @@ def load_config(path) -> RunConfig:
         gsec.getint("nx"), gsec.getint("ny"), gsec.getfloat("lx"), gsec.getfloat("ly")
     )
 
-    msec = parser["model"]
-    kind = msec.get("kind", "physical_sqrt").strip()
-    gamma = msec.getfloat("gamma") if "gamma" in msec else None
-    table_kwargs = {}
-    if kind == "table":
-        table_kwargs["table_s"] = tuple(float(t) for t in msec.get("table_s").split())
-        table_kwargs["table_nu"] = tuple(float(t) for t in msec.get("table_nu").split())
-        if "table_a" in msec:
-            table_kwargs["table_a"] = tuple(float(t) for t in msec.get("table_a").split())
-    model = ViscosityModel(
-        kind=kind,
-        nu1=msec.getfloat("nu1", 1.0),
-        nu2=msec.getfloat("nu2", 0.0),
-        a1=msec.getfloat("a1", 1.0),
-        a2=msec.getfloat("a2", 0.0),
-        gamma=gamma,
-        delta=msec.getfloat("delta", 1.0),
-        **table_kwargs,
-    )
+    model = ViscosityModel(**_present(parser["model"], ViscosityModel))
 
     ssec = parser["source"]
     preset = ssec.get("preset", "constant").strip()
@@ -123,23 +119,16 @@ def load_config(path) -> RunConfig:
         raise HypothesisViolation("H0", f"the load must lie in L^r with r > 3/2, got r = {r}")
 
     sol = parser["solver"] if parser.has_section("solver") else {}
-    picard = PicardConfig(
-        tol=float(sol.get("tol", 1e-10)),
-        max_outer=int(sol.get("max_outer", 200)),
-        damping=float(sol.get("damping", 1.0)),
-        init_k=str(sol.get("init_k", "zero")).strip(),
-        init_k_value=float(sol.get("init_k_value", 0.0)),
-        inner_tol=float(sol.get("inner_tol", 1e-12)),
-    )
-    route = str(sol.get("route", "direct")).strip()
-    if route not in ("direct", "kirchhoff", "chi"):
+    picard = PicardConfig(**_present(sol, PicardConfig))
+    route = sol.get("route", "direct")
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
 
     if parser.has_section("sweep") and "n_list" in parser["sweep"]:
         n_list = [int(t) for t in parser["sweep"]["n_list"].split()]
     else:
         n_list = [8]
-    solve_n = int(sol.get("n", n_list[-1])) if sol else n_list[-1]
+    solve_n = int(sol.get("n", n_list[-1]))
 
     out_dir = None
     if parser.has_section("output") and "dir" in parser["output"]:
@@ -195,27 +184,33 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 # -- field dumps ---------------------------------------------------------
+#
+# A dump is built as one string and written in one call, and read the same
+# way.  Streamed row by row (np.savetxt/np.loadtxt on the file), no large
+# string is freed to raise glibc's dynamic mmap and trim thresholds, and the
+# 129^2 CG temporaries page-fault: 0.55-0.85 M minor faults per Kirchhoff
+# benchmark operation instead of 10-50 k.  Buffered through io.StringIO or
+# io.BytesIO, the heap fragments and peak RSS grows with every dump.
 
 
 def write_field(path, field: ScalarField):
     g = field.grid
-    lines = [str(g.nx), str(g.ny), f"{_FLOAT_FMT.format(g.lx)} {_FLOAT_FMT.format(g.ly)}"]
-    for j in range(g.ny):
-        lines.append(" ".join(_FLOAT_FMT.format(field.values[i, j]) for i in range(g.nx)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = " ".join([_FLOAT_FMT] * g.nx) + "\n"
+    body = "".join(row.format(*values) for values in field.values.T)
+    Path(path).write_text(f"{g.nx}\n{g.ny}\n{_FLOAT_FMT.format(g.lx)} {_FLOAT_FMT.format(g.ly)}\n" + body)
 
 
 def read_field(path) -> ScalarField:
-    text = Path(path).read_text().splitlines()
-    nx, ny = int(text[0]), int(text[1])
-    lx, ly = (float(t) for t in text[2].split())
-    values = np.empty((nx, ny))
-    for j in range(ny):
-        row = [float(t) for t in text[3 + j].split()]
-        if len(row) != nx:
-            raise ValueError(f"row {j} of {path} has {len(row)} values, expected {nx}")
-        values[:, j] = row
-    return ScalarField(make_grid(nx, ny, lx, ly), values)
+    lines = Path(path).read_text().splitlines()
+    if len(lines) < 3:
+        raise ValueError(f"{path} lacks the 3-line header (nx, ny, lx ly)")
+    nx, ny = int(lines[0]), int(lines[1])
+    lx, ly = (float(t) for t in lines[2].split())
+    values = np.loadtxt(lines[3:], ndmin=2)
+    if values.shape != (ny, nx):
+        raise ValueError(f"{path} holds {values.shape[0]} rows of {values.shape[1]} values, "
+                         f"expected {ny} rows of {nx}")
+    return ScalarField(make_grid(nx, ny, lx, ly), values.T)
 
 
 def _write_csv(path, header, rows):
@@ -232,15 +227,7 @@ def _write_json(path, payload):
 
 
 def _sweep_rows(entries: list[SweepEntry]):
-    rows = []
-    for e in entries:
-        r = e.report
-        rows.append([
-            r.n, r.outer_iterations, r.converged, r.final_increment, r.energy,
-            r.dissipation, r.linf_u, r.linf_k, r.truncation_active, r.clamp_count,
-            r.k_residual, e.diff_u, e.diff_k, "truncation_stabilization",
-        ])
-    return rows
+    return [[*astuple(e.report), e.diff_u, e.diff_k, "truncation_stabilization"] for e in entries]
 
 
 def _verify_rows(report) -> list:
@@ -327,7 +314,7 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
 
 
 def run_mms(cfg: RunConfig, out: Path, sizes) -> int:
-    if cfg.model.kind != "constant" and cfg.model.nu2 != 0.0:
+    if cfg.model.nu2 != 0.0:
         raise ValueError("the manufactured-solution check needs a constant model")
     rows = manufactured_errors(sizes, nu0=cfg.model.nu1, cfg=cfg.picard)
     table = []
@@ -380,7 +367,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg, out)
         if args.command == "verify":
-            return run_verify(cfg, out, args.u, args.k, args.n or cfg.solve_n)
+            return run_verify(cfg, out, args.u, args.k,
+                              cfg.solve_n if args.n is None else args.n)
         return run_mms(cfg, out, args.sizes)
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)

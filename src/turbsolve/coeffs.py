@@ -5,7 +5,8 @@ a floor delta > 0 (assumption H0).  Three kinds are supported:
 
 * ``physical_sqrt``: nu(s) = nu1 + nu2*sqrt(s), a(s) = a1 + a2*sqrt(s),
   the physically relevant unbounded family;
-* ``constant``: nu = nu1, a = a1;
+* ``constant``: nu = nu1, a = a1, evaluated as ``physical_sqrt`` with
+  zero slopes (nonzero ``nu2`` or ``a2`` are rejected, not ignored);
 * ``table``: linear interpolation of sampled nodes, clamped to the last
   node beyond the table.
 
@@ -69,6 +70,8 @@ class ViscosityModel:
         if self.kind == "table":
             self._validate_table()
         else:
+            if self.kind == "constant" and (self.nu2 != 0 or self.a2 != 0):
+                raise ValueError("a constant model takes no slopes: nu2 and a2 must be 0")
             if self.nu2 < 0 or self.a2 < 0:
                 raise ValueError("sqrt-growth slopes must be nonnegative")
             if self.nu1 < self.delta:
@@ -79,8 +82,7 @@ class ViscosityModel:
                 # a is realized as gamma*nu; declared a1/a2 must agree.
                 if not math.isclose(self.a1, self.gamma * self.nu1, rel_tol=1e-12, abs_tol=1e-300):
                     raise HypothesisViolation("H2", "a1 != gamma * nu1 for a proportional pair")
-                want_a2 = 0.0 if self.kind == "constant" else self.gamma * self.nu2
-                if not math.isclose(self.a2, want_a2, rel_tol=1e-12, abs_tol=1e-300):
+                if not math.isclose(self.a2, self.gamma * self.nu2, rel_tol=1e-12, abs_tol=1e-300):
                     raise HypothesisViolation("H2", "a2 != gamma * nu2 for a proportional pair")
                 if self.gamma * self.nu1 < self.delta:
                     raise HypothesisViolation("H0", "gamma * nu(0) falls below delta")
@@ -113,8 +115,6 @@ class ViscosityModel:
 
     def nu(self, s):
         self._check_domain(s)
-        if self.kind == "constant":
-            return self.nu1 * np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else self.nu1
         if self.kind == "table":
             return np.interp(s, self.table_s, self.table_nu)
         return self.nu1 + self.nu2 * np.sqrt(s)
@@ -123,8 +123,6 @@ class ViscosityModel:
         if self.gamma is not None:
             return self.gamma * self.nu(s)
         self._check_domain(s)
-        if self.kind == "constant":
-            return self.a1 * np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else self.a1
         if self.kind == "table":
             return np.interp(s, self.table_s, self.table_a)
         return self.a1 + self.a2 * np.sqrt(s)
@@ -133,8 +131,8 @@ class ViscosityModel:
         """Effective (a1, a2) for closed-form transforms; proportional pairs
         integrate gamma*nu."""
         if self.gamma is not None:
-            return self.gamma * self.nu1, (0.0 if self.kind == "constant" else self.gamma * self.nu2)
-        return self.a1, (0.0 if self.kind == "constant" else self.a2)
+            return self.gamma * self.nu1, self.gamma * self.nu2
+        return self.a1, self.a2
 
     def _a_nodes(self):
         s = np.asarray(self.table_s, dtype=float)
@@ -148,8 +146,6 @@ class ViscosityModel:
         """Exact infimum over s >= 0 of a(s)/nu(s)."""
         if self.gamma is not None:
             return float(self.gamma)
-        if self.kind == "constant":
-            return self.a1 / self.nu1
         if self.kind == "table":
             s, a = self._a_nodes()
             nu = np.asarray(self.table_nu, dtype=float)
@@ -162,10 +158,6 @@ class ViscosityModel:
         if self.nu2 > 0:
             candidates.append(self.a2 / self.nu2)
         return float(min(candidates))
-
-    def gamma1(self) -> float:
-        """Ratio floor min(1, inf a/nu) used by the dissipation estimate."""
-        return min(1.0, self.h1_ratio_inf())
 
 
 def _check_level(n) -> int:
@@ -200,7 +192,7 @@ def kirchhoff_A(m: ViscosityModel, s):
     trivially meets the 1e-12 relative accuracy budget.
     """
     m._check_domain(s)
-    if m.kind in ("physical_sqrt", "constant"):
+    if m.kind != "table":
         a1, a2 = m._a_coeffs()
         arr = np.asarray(s, dtype=float)
         out = a1 * arr + (2.0 / 3.0) * a2 * arr ** 1.5
@@ -235,7 +227,7 @@ def kirchhoff_A_inv(m: ViscosityModel, S):
     """
     if np.any(np.asarray(S) < 0):
         raise ValueError("the flux transform is only invertible for S >= 0")
-    if m.kind in ("physical_sqrt", "constant"):
+    if m.kind != "table":
         a1, a2 = m._a_coeffs()
         if a2 == 0.0:
             out = np.asarray(S, dtype=float) / a1

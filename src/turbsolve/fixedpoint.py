@@ -31,7 +31,7 @@ the chi route (proportional pairs only).  One driver runs all three; they
 differ only in the k-update step it is given.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -49,6 +49,8 @@ from .coeffs import (
 from .grid import Grid, ScalarField, face_average, face_weights, linf_norm, weighted_energy
 from .linsolve import INNER_TOL, assemble, solve_spd
 
+ROUTES = ("direct", "kirchhoff", "chi")
+
 
 @dataclass
 class PicardConfig:
@@ -56,13 +58,13 @@ class PicardConfig:
 
     damping applies to the k-update only: k <- (1-w) k_prev + w k_new.
     With damping 1.0 the iteration falls back to 0.5 for the rest of the
-    solve the first time the increment grows.
+    solve the first time the increment grows.  Without a warm start k
+    begins at the constant init_k_value.
     """
 
     tol: float = 1e-10
     max_outer: int = 200
     damping: float = 1.0
-    init_k: str = "zero"  # "zero" | "constant"
     init_k_value: float = 0.0
     inner_tol: float = INNER_TOL
 
@@ -71,8 +73,6 @@ class PicardConfig:
             raise ValueError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.init_k not in ("zero", "constant"):
-            raise ValueError(f"unknown init_k tag {self.init_k!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -94,19 +94,7 @@ class SolveReport:
     k_residual: float  # relative residual of the un-lagged k-equation
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "outer_iterations": self.outer_iterations,
-            "converged": self.converged,
-            "final_increment": self.final_increment,
-            "energy": self.energy,
-            "dissipation": self.dissipation,
-            "linf_u": self.linf_u,
-            "linf_k": self.linf_k,
-            "truncation_active": self.truncation_active,
-            "clamp_count": self.clamp_count,
-            "k_residual": self.k_residual,
-        }
+        return asdict(self)
 
 
 class KStep(NamedTuple):
@@ -221,12 +209,7 @@ def _chi_k_step(
 
 def _initial_state(grid: Grid, cfg: PicardConfig, u0, k0):
     u = u0.copy() if u0 is not None else ScalarField.zeros(grid)
-    if k0 is not None:
-        k = k0.copy()
-    elif cfg.init_k == "constant":
-        k = ScalarField.full(grid, cfg.init_k_value)
-    else:
-        k = ScalarField.zeros(grid)
+    k = k0.copy() if k0 is not None else ScalarField.full(grid, cfg.init_k_value)
     _nonnegative(k, "initial k")
     return u, k
 
@@ -373,7 +356,7 @@ def n_sweep(
         raise ValueError("n_list must not be empty")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("n_list must be strictly ascending")
-    if route not in ("direct", "kirchhoff", "chi"):
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
 
     entries: list[SweepEntry] = []

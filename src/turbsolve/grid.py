@@ -109,16 +109,6 @@ def integrate(v: ScalarField) -> float:
     return float(v.values.sum() * v.grid.cell_area)
 
 
-def lp_norm(v: ScalarField, p: float) -> float:
-    """(integral |v|^p)^(1/p) by the midpoint rule; p = inf routes to linf."""
-    if np.isinf(p):
-        return linf_norm(v)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    total = float(np.sum(np.abs(v.values) ** p) * v.grid.cell_area)
-    return total ** (1.0 / p)
-
-
 def linf_norm(v: ScalarField) -> float:
     return float(np.max(np.abs(v.values))) if v.values.size else 0.0
 

@@ -76,8 +76,11 @@ def solve_spd(
 ) -> tuple[ScalarField, LinearSolveReport]:
     """Solve A x = b to ||Ax-b||/||b|| <= tol (absolute residual when b=0).
 
-    Deterministic: zero initial guess, fixed iteration order.  Raises
-    LinearSolveError when the iteration budget runs out.
+    Deterministic at a fixed BLAS thread count: zero initial guess, fixed
+    iteration order.  The dot products and norms go through BLAS, whose
+    summation order may depend on its thread count, so the last bits can
+    differ between thread counts.  Raises LinearSolveError when the
+    iteration budget runs out.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

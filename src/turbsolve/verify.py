@@ -21,7 +21,7 @@ accuracy rather than to discretization accuracy.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,28 +65,10 @@ class InvariantReport:
     level_set_profile: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def scrub(x):
-            if isinstance(x, float) and math.isnan(x):
-                return None
-            return x
-
-        return {
-            "energy": self.energy,
-            "dissipation": self.dissipation,
-            "lp_a_gradk": self.lp_a_gradk,
-            "lp_exponent": self.lp_exponent,
-            "linf_u": self.linf_u,
-            "linf_k": self.linf_k,
-            "energy_identity_rel_residual": self.energy_identity_rel_residual,
-            "idee_max_residual": self.idee_max_residual,
-            "sqrt_nu_h1_seminorm": self.sqrt_nu_h1_seminorm,
-            "chi_linf": scrub(self.chi_linf),
-            "stampacchia_rho": self.stampacchia_rho,
-            "stampacchia_beta": self.stampacchia_beta,
-            "holder_alpha_u": scrub(self.holder_alpha_u),
-            "holder_alpha_k": scrub(self.holder_alpha_k),
-            "level_set_profile": [[s, psi] for s, psi in self.level_set_profile],
-        }
+        """JSON-ready fields: NaN sentinels become None, profile points lists."""
+        d = asdict(self)
+        d["level_set_profile"] = [list(point) for point in self.level_set_profile]
+        return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in d.items()}
 
 
 def energy_identity_residual(

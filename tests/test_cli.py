@@ -169,3 +169,57 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def write_zero_dumps(tmp_path, extra_rows=0, cut_rows=0):
+    """Zero u and k dumps on the BASE grid, with rows appended or cut off."""
+    g = make_grid(17, 17, 1.0, 1.0)
+    paths = []
+    for name in ("u.txt", "k.txt"):
+        path = tmp_path / name
+        write_field(path, ScalarField.zeros(g))
+        lines = path.read_text().splitlines()
+        lines += lines[-1:] * extra_rows
+        path.write_text("\n".join(lines[:len(lines) - cut_rows]) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+def run_verify(tmp_path, u, k, *extra):
+    cfg = write_config(tmp_path)
+    return main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--u", u, "--k", k, *extra])
+
+
+class TestVerifyInput:
+    def test_level_zero_rejected(self, tmp_path):
+        u, k = write_zero_dumps(tmp_path)
+        assert run_verify(tmp_path, u, k) == 0
+        assert run_verify(tmp_path, u, k, "--n", "0") == 2
+
+    def test_dump_with_rows_cut_off(self, tmp_path, capsys):
+        u, k = write_zero_dumps(tmp_path, cut_rows=3)
+        assert run_verify(tmp_path, u, k) == 2
+        assert "expected 17 rows of 17" in capsys.readouterr().err
+
+    def test_dump_with_extra_row(self, tmp_path, capsys):
+        u, k = write_zero_dumps(tmp_path, extra_rows=1)
+        assert run_verify(tmp_path, u, k) == 2
+        assert "expected 17 rows of 17" in capsys.readouterr().err
+
+    def test_dump_without_header(self, tmp_path, capsys):
+        u, k = write_zero_dumps(tmp_path, cut_rows=18)
+        assert run_verify(tmp_path, u, k) == 2
+        assert "lacks the 3-line header" in capsys.readouterr().err
+
+
+class TestModelConfig:
+    def test_table_without_nodes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("kind = physical_sqrt", "kind = table"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: table model needs" in capsys.readouterr().err
+
+    def test_constant_rejects_slopes(self, tmp_path, capsys):
+        text = BASE.replace("kind = physical_sqrt", "kind = constant").replace("gamma = 1.0\n", "")
+        cfg = write_config(tmp_path, text.replace("a2 = 1.0", "a2 = 0.0"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "nu2 and a2 must be 0" in capsys.readouterr().err

@@ -66,12 +66,10 @@ class TestRatioFloor:
         m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=3.0, a2=3.0,
                            gamma=3.0, delta=1.0)
         assert m.h1_ratio_inf() == 3.0
-        assert m.gamma1() == 1.0
 
     def test_constant(self):
         m = ViscosityModel(kind="constant", nu1=2.0, a1=1.0, delta=0.5)
         assert m.h1_ratio_inf() == pytest.approx(0.5)
-        assert m.gamma1() == pytest.approx(0.5)
 
     def test_degenerate_ratio(self):
         # a stays bounded while nu grows: no positive floor exists

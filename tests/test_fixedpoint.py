@@ -141,7 +141,7 @@ class TestPicard:
         tol = 1e-11
         u1, k1, r1 = picard_solve(HP_UNIT, 16, f, PicardConfig(tol=tol))
         u2, k2, r2 = picard_solve(
-            HP_UNIT, 16, f, PicardConfig(tol=tol, init_k="constant", init_k_value=0.5)
+            HP_UNIT, 16, f, PicardConfig(tol=tol, init_k_value=0.5)
         )
         assert r1.converged and r2.converged
         assert np.max(np.abs(u1.values - u2.values)) <= 10 * tol

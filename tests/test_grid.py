@@ -7,7 +7,6 @@ from turbsolve import (
     ScalarField,
     integrate,
     linf_norm,
-    lp_norm,
     make_grid,
     weighted_energy,
 )
@@ -15,7 +14,6 @@ from turbsolve._kernels import face_gradients
 
 # analytic oracles on the unit square
 SIN_SIN_INTEGRAL = 4.0 / math.pi**2  # integral of sin(pi x) sin(pi y)
-SIN_L1 = 2.0 / math.pi  # integral of |sin(pi x)|
 SIN_SIN_ENERGY = math.pi**2 / 2.0  # integral of |grad sin sin|^2
 
 
@@ -127,33 +125,10 @@ class TestIntegrate:
 
 
 class TestNorms:
-    def test_constant_l2(self):
-        g = make_grid(4, 4, 1.0, 1.0)
-        assert lp_norm(ScalarField.full(g, 2.0), 2.0) == pytest.approx(2.0, rel=1e-14)
-
     def test_linf(self):
         g = make_grid(2, 2, 1.0, 1.0)
         v = ScalarField(g, np.array([[1.0, -3.0], [2.0, 0.0]]))
         assert linf_norm(v) == 3.0
-        assert lp_norm(v, np.inf) == 3.0
-
-    def test_sin_l1_against_analytic(self):
-        g = make_grid(128, 8, 1.0, 1.0)
-        v = ScalarField.from_function(g, lambda X, Y: np.sin(np.pi * X))
-        assert lp_norm(v, 1.0) == pytest.approx(SIN_L1, abs=1e-3)
-
-    def test_rejects_p_below_one(self):
-        g = make_grid(2, 2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            lp_norm(ScalarField.zeros(g), 0.5)
-
-    def test_absolute_homogeneity(self):
-        g = make_grid(5, 4, 1.0, 1.0)
-        rng = np.random.default_rng(7)
-        v = ScalarField(g, rng.standard_normal(g.shape))
-        for p in (1.0, 1.4, 2.0, 3.0):
-            scaled = ScalarField(g, -2.5 * v.values)
-            assert lp_norm(scaled, p) == pytest.approx(2.5 * lp_norm(v, p), rel=1e-12)
 
 
 class TestWeightedEnergy:
