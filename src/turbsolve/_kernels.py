@@ -13,10 +13,10 @@ import numpy as np
 USE_NUMBA = False
 
 
-def _face_gradients(v, hx, hy):
+def _face_gradients(v, hx, hy, gx=None, gy=None):
     nx, ny = v.shape
-    gx = np.empty((nx + 1, ny))
-    gy = np.empty((nx, ny + 1))
+    gx = np.empty((nx + 1, ny)) if gx is None else gx
+    gy = np.empty((nx, ny + 1)) if gy is None else gy
     np.subtract(v[1:, :], v[:-1, :], out=gx[1:nx, :])
     gx[1:nx, :] /= hx
     gx[0, :] = (2.0 * v[0, :]) / hx
@@ -40,20 +40,16 @@ def face_gradients(v, hx, hy):
     return _face_gradients(v, hx, hy)
 
 
-def diffusion_matvec(v, cfx, cfy, hx, hy):
-    """Pointwise -div(c grad v) for per-face coefficients cfx, cfy."""
-    # Same IEEE operations as (cfx*gx)[:-1] - ... written in place: every
-    # temporary of a 129^2 grid is a fresh heap block, and with glibc's
-    # default trim threshold a CG iteration whose temporaries outgrew the
-    # free heap page-faulted all of them anew.
-    gx, gy = _face_gradients(v, hx, hy)
+def diffusion_matvec(v, cfx, cfy, hx, hy, out, gx, gy):
+    """Pointwise -div(c grad v) for face coefficients cfx, cfy, into out; gx, gy are scratch."""
+    _face_gradients(v, hx, hy, gx, gy)
     gx *= cfx
     gy *= cfy
-    out = gx[:-1, :] - gx[1:, :]
+    np.subtract(gx[:-1, :], gx[1:, :], out=out)
     out /= hx
-    t = gy[:, :-1] - gy[:, 1:]
-    t /= hy
-    out += t
+    np.subtract(gy[:, :-1], gy[:, 1:], out=gx[:-1, :])  # the x-fluxes are spent
+    gx[:-1, :] /= hy
+    out += gx[:-1, :]
     return out
 
 

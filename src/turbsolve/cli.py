@@ -42,6 +42,16 @@ _PARSERS = {
     Optional[tuple]: lambda text: tuple(float(t) for t in text.split()),
 }
 
+# The sections a config may hold and the keys each accepts; anything else is a config error
+_KEYS = {
+    "grid": {"nx", "ny", "lx", "ly"},
+    "model": {f.name for f in fields(ViscosityModel)},
+    "source": {"preset", "amplitude", "x0", "y0", "sigma", "r"},
+    "solver": {f.name for f in fields(PicardConfig)} | {"route", "n"},
+    "sweep": {"n_list"},
+    "output": {"dir"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -93,11 +103,15 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read config file {path}")
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ValueError(f"unknown section [{name}]")
+        unknown = [key for key in parser[name] if key not in _KEYS[name]]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in [{name}]")
 
     gsec = parser["grid"]
-    grid = make_grid(
-        gsec.getint("nx"), gsec.getint("ny"), gsec.getfloat("lx"), gsec.getfloat("ly")
-    )
+    grid = make_grid(int(gsec["nx"]), int(gsec["ny"]), float(gsec["lx"]), float(gsec["ly"]))
 
     model = ViscosityModel(**_present(parser["model"], ViscosityModel))
 
@@ -184,29 +198,22 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 # -- field dumps ---------------------------------------------------------
-#
-# A dump is built as one string and written in one call, and read the same
-# way.  Streamed row by row (np.savetxt/np.loadtxt on the file), no large
-# string is freed to raise glibc's dynamic mmap and trim thresholds, and the
-# 129^2 CG temporaries page-fault: 0.55-0.85 M minor faults per Kirchhoff
-# benchmark operation instead of 10-50 k.  Buffered through io.StringIO or
-# io.BytesIO, the heap fragments and peak RSS grows with every dump.
 
 
 def write_field(path, field: ScalarField):
     g = field.grid
-    row = " ".join([_FLOAT_FMT] * g.nx) + "\n"
-    body = "".join(row.format(*values) for values in field.values.T)
-    Path(path).write_text(f"{g.nx}\n{g.ny}\n{_FLOAT_FMT.format(g.lx)} {_FLOAT_FMT.format(g.ly)}\n" + body)
+    header = f"{g.nx}\n{g.ny}\n{_FLOAT_FMT.format(g.lx)} {_FLOAT_FMT.format(g.ly)}"
+    np.savetxt(path, field.values.T, fmt="%.17g", header=header, comments="")
 
 
 def read_field(path) -> ScalarField:
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 3:
-        raise ValueError(f"{path} lacks the 3-line header (nx, ny, lx ly)")
-    nx, ny = int(lines[0]), int(lines[1])
-    lx, ly = (float(t) for t in lines[2].split())
-    values = np.loadtxt(lines[3:], ndmin=2)
+    with open(path) as fh:
+        header = [fh.readline() for _ in range(3)]
+        if not header[2]:
+            raise ValueError(f"{path} lacks the 3-line header (nx, ny, lx ly)")
+        nx, ny = int(header[0]), int(header[1])
+        lx, ly = (float(t) for t in header[2].split())
+        values = np.loadtxt(fh, ndmin=2)
     if values.shape != (ny, nx):
         raise ValueError(f"{path} holds {values.shape[0]} rows of {values.shape[1]} values, "
                          f"expected {ny} rows of {nx}")

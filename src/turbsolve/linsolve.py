@@ -40,14 +40,20 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(eq=False)
 class DiffusionOperator:
-    """Assembled -div(c grad .) with per-face coefficients; immutable."""
+    """Assembled -div(c grad .) with per-face coefficients; apply calls share one flux scratch."""
 
     grid: Grid
     cfx: np.ndarray  # (nx+1, ny)
     cfy: np.ndarray  # (nx, ny+1)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return _kernels.diffusion_matvec(v, self.cfx, self.cfy, self.grid.hx, self.grid.hy)
+    def __post_init__(self):
+        self._gx, self._gy = np.empty(self.cfx.shape), np.empty(self.cfy.shape)
+
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A v, written into ``out`` when given (a fresh array otherwise)."""
+        out = np.empty(self.grid.shape) if out is None else out
+        return _kernels.diffusion_matvec(v, self.cfx, self.cfy, self.grid.hx, self.grid.hy,
+                                         out, self._gx, self._gy)
 
     def diagonal(self) -> np.ndarray:
         g = self.grid
@@ -79,8 +85,9 @@ def solve_spd(
     Deterministic at a fixed BLAS thread count: zero initial guess, fixed
     iteration order.  The dot products and norms go through BLAS, whose
     summation order may depend on its thread count, so the last bits can
-    differ between thread counts.  Raises LinearSolveError when the
-    iteration budget runs out.
+    differ between thread counts.  The work vectors are allocated once per
+    call and updated in place.  Raises LinearSolveError when the iteration
+    budget runs out.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -100,13 +107,14 @@ def solve_spd(
     r = rhs.copy()
     z = r / diag
     p = z.copy()
+    Ap, tmp = np.empty(g.shape), np.empty(g.shape)
     rz = float(np.vdot(r, z))
     iterations = 0
     res = float(np.linalg.norm(r)) / bnorm
 
     while iterations < max_iter:
         iterations += 1
-        Ap = A.apply(p)
+        A.apply(p, out=Ap)
         pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:
             raise LinearSolveError(
@@ -114,26 +122,27 @@ def solve_spd(
                 LinearSolveReport(iterations, res, False),
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(Ap, alpha, out=tmp)
         res = float(np.linalg.norm(r)) / bnorm
         if res <= tol:
             # certify against the true residual; refresh and continue if
             # the recursion drifted
-            r_true = rhs - A.apply(x)
-            res_true = float(np.linalg.norm(r_true)) / bnorm
+            np.subtract(rhs, A.apply(x, out=tmp), out=tmp)
+            res_true = float(np.linalg.norm(tmp)) / bnorm
             if res_true <= tol:
                 return ScalarField(g, x), LinearSolveReport(iterations, res_true, True)
-            r = r_true
+            r, tmp = tmp, r
             res = res_true
-            z = r / diag
-            p = z.copy()
+            np.divide(r, diag, out=z)
+            p[...] = z
             rz = float(np.vdot(r, z))
             continue
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
 
     raise LinearSolveError(

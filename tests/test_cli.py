@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from turbsolve import ScalarField, make_grid
 from turbsolve.cli import main, read_field, write_field
@@ -169,6 +170,32 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_missing_grid_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("nx = 17\n", ""))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: 'nx'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["grid", "model", "source", "solver", "sweep", "output"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section):
+        key = "tol_outer" if section == "solver" else "extra"
+        text = (BASE + "[output]\n").replace(f"[{section}]\n", f"[{section}]\n{key} = 1e-3\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: unknown key '{key}' in [{section}]" in capsys.readouterr().err
+
+    def test_unknown_section_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("[solver]", "[solvr]"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: unknown section [solvr]" in capsys.readouterr().err
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        text = BASE.replace("route = direct\n", "route = direct\ndamping = 1.0\ninit_k_value = 0.0\n"
+                            "inner_tol = 1e-12\nn = 2\n")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, text + f"[output]\ndir = {out}\n")
+        assert main(["solve", "--config", cfg]) == 0
+        assert (out / "report.json").exists()
 
 
 def write_zero_dumps(tmp_path, extra_rows=0, cut_rows=0):

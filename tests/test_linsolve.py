@@ -3,6 +3,7 @@ import pytest
 
 from turbsolve import (
     LinearSolveError,
+    LinearSolveReport,
     ScalarField,
     assemble,
     linf_norm,
@@ -10,6 +11,7 @@ from turbsolve import (
     solve_spd,
     weighted_energy,
 )
+from turbsolve._kernels import face_gradients
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 
@@ -151,3 +153,60 @@ class TestSolve:
         x1, _ = solve_spd(A, b)
         x2, _ = solve_spd(A, b)
         assert np.array_equal(x1.values, x2.values)
+
+
+def reference_cg(A, b, tol):
+    """Out-of-place Jacobi-CG: a fresh array for every vector update."""
+    rhs = b.values
+    bnorm = float(np.linalg.norm(rhs))
+    diag = A.diagonal()
+    x = np.zeros(rhs.shape)
+    r = rhs.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    iterations = 0
+    while True:
+        iterations += 1
+        Ap = A.apply(p)
+        alpha = rz / float(np.vdot(p, Ap))
+        x = x + alpha * p
+        r = r - alpha * Ap
+        if float(np.linalg.norm(r)) / bnorm <= tol:
+            r_true = rhs - A.apply(x)
+            res_true = float(np.linalg.norm(r_true)) / bnorm
+            if res_true <= tol:
+                return x, LinearSolveReport(iterations, res_true, True)
+            r = r_true
+            z = r / diag
+            p = z.copy()
+            rz = float(np.vdot(r, z))
+            continue
+        z = r / diag
+        rz_new = float(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+
+class TestInPlace:
+    def test_apply_into_out_is_bit_exact(self):
+        g, c, A, rng = random_operator(nx=33, ny=33, seed=21)
+        v = rng.standard_normal(g.shape)
+        buf = np.full(g.shape, np.nan)
+        assert A.apply(v, out=buf) is buf
+        fresh = A.apply(v)
+        assert fresh is not buf and np.array_equal(buf, fresh)
+        # the out-of-place stencil: differences of face fluxes
+        gx, gy = face_gradients(v, g.hx, g.hy)
+        fx, fy = A.cfx * gx, A.cfy * gy
+        assert np.array_equal(fresh, (fx[:-1, :] - fx[1:, :]) / g.hx + (fy[:, :-1] - fy[:, 1:]) / g.hy)
+
+    def test_solve_matches_out_of_place_cg_bit_for_bit(self):
+        g = make_grid(33, 33, 1.0, 1.0)
+        c = ScalarField.from_function(g, lambda X, Y: 1.0 + 3.0 * X * Y + np.sin(5.0 * X) ** 2)
+        A = assemble(c)
+        b = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
+        x, report = solve_spd(A, b, tol=1e-12)
+        x_ref, report_ref = reference_cg(A, b, 1e-12)
+        assert report == report_ref and report.iterations > 30
+        assert np.array_equal(x.values, x_ref)
