@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -213,7 +214,10 @@ def read_field(path) -> ScalarField:
             raise ValueError(f"{path} lacks the 3-line header (nx, ny, lx ly)")
         nx, ny = int(header[0]), int(header[1])
         lx, ly = (float(t) for t in header[2].split())
-        values = np.loadtxt(fh, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only dump is reported by the shape check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, ndmin=2)
     if values.shape != (ny, nx):
         raise ValueError(f"{path} holds {values.shape[0]} rows of {values.shape[1]} values, "
                          f"expected {ny} rows of {nx}")

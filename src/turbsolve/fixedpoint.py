@@ -143,14 +143,15 @@ def _nonnegative(field: ScalarField, name: str):
 
 
 def solve_u_given_k(
-    k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL
+    k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL,
+    u0: Optional[ScalarField] = None,
 ) -> ScalarField:
-    """u-solve with frozen coefficient min(n, nu(k))."""
+    """u-solve with frozen coefficient min(n, nu(k)), the inner solve started from u0."""
     n = _check_level(n)
     _nonnegative(k, "k")
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
     op = assemble(ScalarField(k.grid, nu_n))
-    u, _ = solve_spd(op, f, tol=inner_tol)
+    u, _ = solve_spd(op, f, tol=inner_tol, x0=u0)
     return u
 
 
@@ -159,16 +160,16 @@ def solve_k_given_u(
 ) -> KStep:
     """One lagged k-update: coefficient and source frozen at k_lag.
 
-    The solve result is clamped at zero; the monotone operator makes
-    negative cells impossible for this nonnegative source, so any clamp
-    is a scheme anomaly and is counted.
+    The inner solve starts from k_lag.  The solve result is clamped at
+    zero; the monotone operator makes negative cells impossible for this
+    nonnegative source, so any clamp is a scheme anomaly and is counted.
     """
     n = _check_level(n)
     _nonnegative(k_lag, "k_lag")
     nu_n, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField(u.grid, a_n))
-    k, _ = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol)
+    k, _ = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol, x0=k_lag)
     k_vals, clamp_count = _clamp(k.values)
     return KStep(ScalarField(u.grid, k_vals), clamp_count)
 
@@ -180,17 +181,19 @@ def kirchhoff_k_solve(
 
     With K = A(k) the k-equation becomes constant-coefficient:
     -Lap K = min(n, D(u, nu_n(A_inv(K_lag)))).  The update solves that
-    Poisson problem and maps back through A_inv; for constant a it
-    reduces algebraically to the direct update.
+    Poisson problem, starting from K_lag = A(k_lag), and maps back
+    through A_inv; for constant a it reduces algebraically to the direct
+    update.
     """
     n = _check_level(n)
     _nonnegative(k_lag, "k_lag")
     g = u.grid
-    k_back = kirchhoff_A_inv(m, kirchhoff_A(m, k_lag.values))
+    K_lag = kirchhoff_A(m, k_lag.values)
+    k_back = kirchhoff_A_inv(m, K_lag)
     nu_n, _, _ = truncated_coefficients(m, k_back, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
-    K, _ = solve_spd(op, ScalarField(g, source), tol=inner_tol)
+    K, _ = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=ScalarField(g, K_lag))
     K_vals, clamp_count = _clamp(K.values)
     return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count)
 
@@ -199,11 +202,16 @@ def _chi_k_step(
     f: ScalarField, u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int,
     inner_tol: float = INNER_TOL,
 ) -> KStep:
-    """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - (gamma/2) u^2)."""
+    """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - (gamma/2) u^2).
+
+    The inner solve starts from k_lag + (gamma/2) u^2.
+    """
     _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     op = assemble(ScalarField(u.grid, a_n))
-    chi, _ = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol)
-    k_vals, clamp_count = _clamp(chi.values - 0.5 * m.gamma * u.values**2)
+    half_u2 = 0.5 * m.gamma * u.values**2
+    chi, _ = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol,
+                       x0=ScalarField(u.grid, k_lag.values + half_u2))
+    k_vals, clamp_count = _clamp(chi.values - half_u2)
     return KStep(ScalarField(u.grid, k_vals), clamp_count, chi)
 
 
@@ -244,7 +252,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     Stops when max(|du|_inf, |dk|_inf) <= tol.  With damping 1.0 it
     falls back to 0.5 for the rest of the solve the first time the
     increment grows.  On convergence u is re-solved once at the final k,
-    so the pair satisfies the u-equation to inner-solve accuracy.
+    so the pair satisfies the u-equation to inner-solve accuracy.  Every
+    inner solve starts from the current iterate, so one whose start already
+    meets the inner tolerance costs a single matvec and no CG iteration.
     Returns (u, k, report, last KStep).
     """
     u, k = _initial_state(f.grid, cfg, u0, k0)
@@ -255,7 +265,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
-        u_new = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol)
+        u_new = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
         kstep = k_step(u_new, k, m, n, inner_tol=cfg.inner_tol)
         clamp_total += kstep.clamp_count
         k_vals = (1.0 - omega) * k.values + omega * kstep.field.values
@@ -271,7 +281,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         prev_increment = increment
 
     if converged:
-        u = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol)
+        u = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
     report = _final_report(m, n, u, k, iterations, converged, increment, clamp_total)
     return u, k, report, kstep
 

@@ -8,12 +8,20 @@ off-diagonals, hence positive definite and monotone (nonnegative right
 hand sides produce nonnegative solutions, the discrete carrier of the
 k >= 0 estimate).
 
-The solve is Jacobi-preconditioned conjugate gradients.  Convergence is
-certified against the *recomputed* residual, never the recursion residual
-alone, and non-convergence raises instead of returning a partial answer.
+The solve is conjugate gradients preconditioned with the exact inverse of
+the unit-coefficient operator A(1) on the same grid.  With face
+coefficients in [c_min, c_max], A(c) is spectrally equivalent to A(1) with
+condition number at most c_max/c_min at every mesh width (Concus & Golub
+1973), so the iteration count does not grow with the grid.  A(1) is
+inverted by tensor-product fast diagonalisation (Lynch, Rice & Thomas
+1964): the 1D cell-centred operator with mirror ghosts has the DST-II
+eigenbasis.  Convergence is certified against the *recomputed* residual,
+never the recursion residual alone, and non-convergence raises instead of
+returning a partial answer.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,15 +63,46 @@ class DiffusionOperator:
         return _kernels.diffusion_matvec(v, self.cfx, self.cfy, self.grid.hx, self.grid.hy,
                                          out, self._gx, self._gy)
 
-    def diagonal(self) -> np.ndarray:
-        g = self.grid
-        sx = np.ones(g.nx + 1)
-        sy = np.ones(g.ny + 1)
-        sx[0] = sx[-1] = 2.0  # wall faces couple twice as stiffly (ghost mirror)
-        sy[0] = sy[-1] = 2.0
-        wx = sx[:, None] * self.cfx
-        wy = sy[None, :] * self.cfy
-        return (wx[:-1, :] + wx[1:, :]) / g.hx**2 + (wy[:, :-1] + wy[:, 1:]) / g.hy**2
+
+def _dst2_basis(n: int, h: float):
+    """Orthonormal eigenvectors (columns) and eigenvalues of the 1D cell-centred
+    operator (2v_j - v_{j-1} - v_{j+1})/h^2 with mirror ghosts v_{-1} = -v_0,
+    v_n = -v_{n-1}: q_k(j) = sqrt(2/n) sin(pi k (j+1/2)/n), k = 1..n, the
+    column k = n scaled by 1/sqrt(2).
+    """
+    k = np.arange(1, n + 1)
+    q = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    q[:, -1] *= np.sqrt(0.5)
+    # (2 - 2cos(pi k/n))/h^2, written without the cancellation at small k
+    return q, (2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class PoissonInverse:
+    """Exact inverse of L = A(1): L^{-1} r = Qx ((Qx^T r Qy) / eig) Qy^T."""
+
+    qx: np.ndarray  # (nx, nx) x eigenvectors
+    qy: np.ndarray  # (ny, ny) y eigenvectors
+    eig: np.ndarray  # (nx, ny) eigenvalues of L: eig[i, j] = lam_x[i] + lam_y[j]
+
+    def apply(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """L^{-1} r into ``out``; ``work`` is scratch, and neither may alias r."""
+        np.matmul(self.qx.T, r, out=work)
+        np.matmul(work, self.qy, out=out)
+        out /= self.eig
+        np.matmul(self.qx, out, out=work)
+        return np.matmul(work, self.qy.T, out=out)
+
+
+@lru_cache(maxsize=8)
+def poisson_inverse(grid: Grid) -> PoissonInverse:
+    """The A(1) inverse of a grid, built once per grid and shared by its solves."""
+    qx, lam_x = _dst2_basis(grid.nx, grid.hx)
+    qy, lam_y = _dst2_basis(grid.ny, grid.hy)
+    eig = lam_x[:, None] + lam_y[None, :]
+    for a in (qx, qy, eig):
+        a.flags.writeable = False  # shared through the cache
+    return PoissonInverse(qx, qy, eig)
 
 
 def assemble(c: ScalarField) -> DiffusionOperator:
@@ -79,20 +118,26 @@ def solve_spd(
     b: ScalarField,
     tol: float = INNER_TOL,
     max_iter: int | None = None,
+    x0: ScalarField | None = None,
 ) -> tuple[ScalarField, LinearSolveReport]:
     """Solve A x = b to ||Ax-b||/||b|| <= tol (absolute residual when b=0).
 
-    Deterministic at a fixed BLAS thread count: zero initial guess, fixed
-    iteration order.  The dot products and norms go through BLAS, whose
-    summation order may depend on its thread count, so the last bits can
-    differ between thread counts.  The work vectors are allocated once per
-    call and updated in place.  Raises LinearSolveError when the iteration
-    budget runs out.
+    Starts from x0 when given (zero otherwise) and returns after 0
+    iterations when the residual of that start already meets tol.  The
+    preconditioner is the exact inverse of A(1) (see the module docstring).
+    Deterministic at a fixed BLAS thread count: fixed iteration order.  The
+    dot products, norms and the preconditioner's matrix products go through
+    BLAS, whose summation order may depend on its thread count, so the last
+    bits can differ between thread counts.  The work vectors are allocated
+    once per call and updated in place.  Raises LinearSolveError when the
+    iteration budget runs out.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if b.grid != A.grid:
         raise ValueError("right-hand side lives on a different grid")
+    if x0 is not None and x0.grid != A.grid:
+        raise ValueError("initial guess lives on a different grid")
     g = A.grid
     if max_iter is None:
         max_iter = 10 * g.nx * g.ny
@@ -102,15 +147,21 @@ def solve_spd(
     if bnorm == 0.0:
         return ScalarField.zeros(g), LinearSolveReport(0, 0.0, True)
 
-    diag = A.diagonal()
-    x = np.zeros(g.shape)
-    r = rhs.copy()
-    z = r / diag
-    p = z.copy()
+    M = poisson_inverse(g)
     Ap, tmp = np.empty(g.shape), np.empty(g.shape)
+    if x0 is None:
+        x = np.zeros(g.shape)
+        r = rhs.copy()
+    else:
+        x = x0.values.copy()
+        r = np.subtract(rhs, A.apply(x, out=tmp))
+    res = float(np.linalg.norm(r)) / bnorm
+    if res <= tol:
+        return ScalarField(g, x), LinearSolveReport(0, res, True)
+    z = M.apply(r, np.empty(g.shape), tmp)
+    p = z.copy()
     rz = float(np.vdot(r, z))
     iterations = 0
-    res = float(np.linalg.norm(r)) / bnorm
 
     while iterations < max_iter:
         iterations += 1
@@ -134,11 +185,11 @@ def solve_spd(
                 return ScalarField(g, x), LinearSolveReport(iterations, res_true, True)
             r, tmp = tmp, r
             res = res_true
-            np.divide(r, diag, out=z)
+            M.apply(r, z, tmp)
             p[...] = z
             rz = float(np.vdot(r, z))
             continue
-        np.divide(r, diag, out=z)
+        M.apply(r, z, tmp)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
         p *= beta

@@ -233,6 +233,11 @@ class TestVerifyInput:
         assert run_verify(tmp_path, u, k) == 2
         assert "expected 17 rows of 17" in capsys.readouterr().err
 
+    def test_dump_with_header_only(self, tmp_path, capsys):
+        u, k = write_zero_dumps(tmp_path, cut_rows=17)
+        assert run_verify(tmp_path, u, k) == 2
+        assert "holds 0 rows of 1 values, expected 17 rows of 17" in capsys.readouterr().err
+
     def test_dump_without_header(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path, cut_rows=18)
         assert run_verify(tmp_path, u, k) == 2

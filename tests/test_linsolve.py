@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import turbsolve
 from turbsolve import (
     LinearSolveError,
     LinearSolveReport,
@@ -12,6 +18,7 @@ from turbsolve import (
     weighted_energy,
 )
 from turbsolve._kernels import face_gradients
+from turbsolve.linsolve import poisson_inverse
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 
@@ -56,13 +63,13 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(ScalarField(g, values))
 
-    def test_diagonal_matches_unit_vectors(self):
-        g, c, A, _ = random_operator(seed=9)
-        diag = A.diagonal()
-        for i, j in ((0, 0), (0, 3), (4, 2), (8, 6)):
-            e = np.zeros(g.shape)
-            e[i, j] = 1.0
-            assert A.apply(e)[i, j] == pytest.approx(diag[i, j], rel=1e-14)
+    def test_poisson_inverse_is_exact(self):
+        # non-square, hx != hy: L^{-1}(A(1) v) recovers v
+        g = make_grid(17, 33, 1.0, 2.0)
+        v = np.random.default_rng(9).standard_normal(g.shape)
+        Av = assemble(ScalarField.full(g, 1.0)).apply(v)
+        w = poisson_inverse(g).apply(Av, np.empty(g.shape), np.empty(g.shape))
+        assert np.linalg.norm(w - v) <= 1e-12 * np.linalg.norm(v)
 
     def test_pointwise_consistency_on_smooth_data(self):
         # applying the operator approximates -div(c grad v) at second order
@@ -154,15 +161,70 @@ class TestSolve:
         x2, _ = solve_spd(A, b)
         assert np.array_equal(x1.values, x2.values)
 
+    def test_iterations_independent_of_mesh(self):
+        # coefficient ratio 4: kappa <= 4 at every h, so the count stays flat
+        iterations = []
+        for n in (33, 65, 129):
+            g = make_grid(n, n, 1.0, 1.0)
+            c = ScalarField.from_function(
+                g, lambda X, Y: 2.5 + 1.5 * np.sin(2 * np.pi * X) * np.cos(3 * np.pi * Y))
+            b = ScalarField(g, np.random.default_rng(n).standard_normal(g.shape))
+            iterations.append(solve_spd(assemble(c), b, tol=1e-12)[1].iterations)
+        assert max(iterations) <= 40
+        assert iterations[-1] <= iterations[0] + 5
+
+
+class TestWarmStart:
+    def test_converged_start_returns_at_once(self):
+        g, c, A, rng = random_operator(seed=13)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        tol = 1e-12
+        x, _ = solve_spd(A, b, tol=tol)
+        y, report = solve_spd(A, b, tol=tol, x0=x)
+        assert report.iterations == 0 and report.converged
+        res = np.linalg.norm(b.values - A.apply(y.values)) / np.linalg.norm(b.values)
+        assert report.relative_residual == res <= tol
+        assert np.array_equal(y.values, x.values) and y.values is not x.values
+
+    def test_warm_start_deterministic_and_cheaper(self):
+        g, c, A, rng = random_operator(nx=33, ny=33, seed=14)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        x, cold = solve_spd(A, b)
+        x0 = ScalarField(g, x.values + 1e-6 * rng.standard_normal(g.shape))
+        y1, warm1 = solve_spd(A, b, x0=x0)
+        y2, warm2 = solve_spd(A, b, x0=x0)
+        assert warm1 == warm2 and np.array_equal(y1.values, y2.values)
+        assert warm1.converged and 0 < warm1.iterations < cold.iterations
+
+    def test_rejects_start_on_other_grid(self):
+        g, c, A, rng = random_operator()
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        with pytest.raises(ValueError, match="initial guess"):
+            solve_spd(A, b, x0=ScalarField.zeros(make_grid(9, 7, 1.0, 1.0)))
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy.fft alone doubles peak RSS
+    src = str(Path(turbsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, turbsolve; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def precondition(A, r):
+    """Out-of-place L^{-1} r, the same matrix products in the same order as the package."""
+    M = poisson_inverse(A.grid)
+    return M.qx @ ((M.qx.T @ r @ M.qy) / M.eig) @ M.qy.T
+
 
 def reference_cg(A, b, tol):
-    """Out-of-place Jacobi-CG: a fresh array for every vector update."""
+    """Out-of-place preconditioned CG: a fresh array for every vector update."""
     rhs = b.values
     bnorm = float(np.linalg.norm(rhs))
-    diag = A.diagonal()
     x = np.zeros(rhs.shape)
     r = rhs.copy()
-    z = r / diag
+    z = precondition(A, r)
     p = z.copy()
     rz = float(np.vdot(r, z))
     iterations = 0
@@ -178,11 +240,11 @@ def reference_cg(A, b, tol):
             if res_true <= tol:
                 return x, LinearSolveReport(iterations, res_true, True)
             r = r_true
-            z = r / diag
+            z = precondition(A, r)
             p = z.copy()
             rz = float(np.vdot(r, z))
             continue
-        z = r / diag
+        z = precondition(A, r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -203,7 +265,8 @@ class TestInPlace:
 
     def test_solve_matches_out_of_place_cg_bit_for_bit(self):
         g = make_grid(33, 33, 1.0, 1.0)
-        c = ScalarField.from_function(g, lambda X, Y: 1.0 + 3.0 * X * Y + np.sin(5.0 * X) ** 2)
+        # contrast about 37: enough CG iterations for in-place drift to show
+        c = ScalarField.from_function(g, lambda X, Y: 1.0 + 30.0 * X * Y + 10.0 * np.sin(5.0 * X) ** 2)
         A = assemble(c)
         b = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
         x, report = solve_spd(A, b, tol=1e-12)
