@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,7 @@ from .coeffs import HypothesisViolation, ViscosityModel
 from .fixedpoint import ROUTES, PicardConfig, SolveReport, SweepEntry, n_sweep
 from .grid import Grid, ScalarField, make_grid
 from .linsolve import LinearSolveError
-from .verify import full_report, manufactured_errors
+from .verify import InvariantReport, full_report, manufactured_errors
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -43,24 +43,46 @@ _PARSERS = {
     Optional[tuple]: lambda text: tuple(float(t) for t in text.split()),
 }
 
+
+@dataclass(frozen=True)
+class Source:
+    """The load f and its declared integrability exponent r (H0 needs r > 3/2).
+
+    ``x0``, ``y0`` and ``sigma`` shape the gaussian preset; left unset they
+    are the domain centre and 0.1 * min(lx, ly).  The manufactured preset
+    ignores ``amplitude`` and takes the model's nu1.
+    """
+
+    preset: str = "constant"
+    amplitude: float = 1.0
+    x0: Optional[float] = None
+    y0: Optional[float] = None
+    sigma: Optional[float] = None
+    r: float = 2.0
+
+    def __post_init__(self):
+        if self.preset not in ("constant", "gaussian", "manufactured"):
+            raise ValueError(f"unknown source preset {self.preset!r}")
+        if self.sigma is not None and self.sigma <= 0:
+            raise ValueError("gaussian source needs sigma > 0")
+        if self.r <= 1.5:
+            raise HypothesisViolation("H0", f"the load must lie in L^r with r > 3/2, got r = {self.r}")
+
+
+# The INI sections read into a dataclass each; a section's keys are its fields
+_SECTIONS = {"grid": Grid, "model": ViscosityModel, "source": Source, "solver": PicardConfig}
+
 # The sections a config may hold and the keys each accepts; anything else is a config error
-_KEYS = {
-    "grid": {"nx", "ny", "lx", "ly"},
-    "model": {f.name for f in fields(ViscosityModel)},
-    "source": {"preset", "amplitude", "x0", "y0", "sigma", "r"},
-    "solver": {f.name for f in fields(PicardConfig)} | {"route", "n"},
-    "sweep": {"n_list"},
-    "output": {"dir"},
-}
+_KEYS = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
+_KEYS["solver"] |= {"route", "n"}
+_KEYS.update(sweep={"n_list"}, output={"dir"})
 
 
 @dataclass
 class RunConfig:
     grid: Grid
     model: ViscosityModel
-    source_preset: str
-    source_params: dict
-    source_r: float
+    source: Source
     n_list: list
     solve_n: int
     picard: PicardConfig
@@ -69,13 +91,16 @@ class RunConfig:
 
     def build_source(self) -> ScalarField:
         g = self.grid
-        p = self.source_params
-        if self.source_preset == "constant":
-            return ScalarField.full(g, p["amplitude"])
-        if self.source_preset == "gaussian":
+        s = self.source
+        if s.preset == "constant":
+            return ScalarField.full(g, s.amplitude)
+        if s.preset == "gaussian":
+            x0 = g.lx / 2 if s.x0 is None else s.x0
+            y0 = g.ly / 2 if s.y0 is None else s.y0
+            sigma = 0.1 * min(g.lx, g.ly) if s.sigma is None else s.sigma
             X, Y = g.cell_centers()
-            r2 = (X - p["x0"]) ** 2 + (Y - p["y0"]) ** 2
-            return ScalarField(g, p["amplitude"] * np.exp(-r2 / (2.0 * p["sigma"] ** 2)))
+            r2 = (X - x0) ** 2 + (Y - y0) ** 2
+            return ScalarField(g, s.amplitude * np.exp(-r2 / (2.0 * sigma**2)))
         from .verify import manufactured_forcing
 
         return manufactured_forcing(g, self.model.nu1)
@@ -94,9 +119,11 @@ def _fmt(value) -> str:
 def _present(section, cls) -> dict:
     """The keys of ``section`` that name fields of ``cls``, parsed by field type.
 
-    Absent keys are left out, so the dataclass's own defaults apply.
+    Absent keys are left out, so the dataclass's own defaults apply; a field
+    without a default must be present (the ``KeyError`` names it).
     """
-    return {f.name: _PARSERS[f.type](section[f.name]) for f in fields(cls) if f.name in section}
+    return {f.name: _PARSERS[f.type](section[f.name]) for f in fields(cls)
+            if f.name in section or f.default is MISSING}
 
 
 def load_config(path) -> RunConfig:
@@ -110,56 +137,26 @@ def load_config(path) -> RunConfig:
         unknown = [key for key in parser[name] if key not in _KEYS[name]]
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in [{name}]")
+    # an absent section reads as an empty one
+    sec = {name: parser[name] if parser.has_section(name) else {} for name in _KEYS}
+    grid, model, source, picard = (cls(**_present(sec[name], cls)) for name, cls in _SECTIONS.items())
 
-    gsec = parser["grid"]
-    grid = make_grid(int(gsec["nx"]), int(gsec["ny"]), float(gsec["lx"]), float(gsec["ly"]))
-
-    model = ViscosityModel(**_present(parser["model"], ViscosityModel))
-
-    ssec = parser["source"]
-    preset = ssec.get("preset", "constant").strip()
-    if preset not in ("constant", "gaussian", "manufactured"):
-        raise ValueError(f"unknown source preset {preset!r}")
-    params = {"amplitude": ssec.getfloat("amplitude", 1.0)}
-    if preset == "gaussian":
-        params.update(
-            x0=ssec.getfloat("x0", grid.lx / 2),
-            y0=ssec.getfloat("y0", grid.ly / 2),
-            sigma=ssec.getfloat("sigma", 0.1 * min(grid.lx, grid.ly)),
-        )
-        if params["sigma"] <= 0:
-            raise ValueError("gaussian source needs sigma > 0")
-    r = ssec.getfloat("r", 2.0)
-    if r <= 1.5:
-        raise HypothesisViolation("H0", f"the load must lie in L^r with r > 3/2, got r = {r}")
-
-    sol = parser["solver"] if parser.has_section("solver") else {}
-    picard = PicardConfig(**_present(sol, PicardConfig))
-    route = sol.get("route", "direct")
+    route = sec["solver"].get("route", "direct")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-
-    if parser.has_section("sweep") and "n_list" in parser["sweep"]:
-        n_list = [int(t) for t in parser["sweep"]["n_list"].split()]
-    else:
-        n_list = [8]
-    solve_n = int(sol.get("n", n_list[-1]))
-
-    out_dir = None
-    if parser.has_section("output") and "dir" in parser["output"]:
-        out_dir = parser["output"]["dir"]
+    n_list = [int(t) for t in sec["sweep"].get("n_list", "8").split()]
+    if not n_list:
+        raise ValueError("[sweep] n_list names no level")
 
     cfg = RunConfig(
         grid=grid,
         model=model,
-        source_preset=preset,
-        source_params=params,
-        source_r=r,
+        source=source,
         n_list=n_list,
-        solve_n=solve_n,
+        solve_n=int(sec["solver"].get("n", n_list[-1])),
         picard=picard,
         route=route,
-        out_dir=out_dir,
+        out_dir=sec["output"].get("dir"),
     )
     _validate(cfg)
     return cfg
@@ -175,26 +172,13 @@ def _validate(cfg: RunConfig):
 
 
 def config_echo(cfg: RunConfig) -> dict:
+    """Every setting of the run, by INI section (``[output]``, a deployment path, aside)."""
     return {
-        "grid": {"nx": cfg.grid.nx, "ny": cfg.grid.ny, "lx": cfg.grid.lx, "ly": cfg.grid.ly},
-        "model": {
-            "kind": cfg.model.kind,
-            "nu1": cfg.model.nu1,
-            "nu2": cfg.model.nu2,
-            "a1": cfg.model.a1,
-            "a2": cfg.model.a2,
-            "gamma": cfg.model.gamma,
-            "delta": cfg.model.delta,
-        },
-        "source": {"preset": cfg.source_preset, "r": cfg.source_r, **cfg.source_params},
-        "solver": {
-            "tol": cfg.picard.tol,
-            "max_outer": cfg.picard.max_outer,
-            "damping": cfg.picard.damping,
-            "route": cfg.route,
-            "n": cfg.solve_n,
-        },
-        "n_list": cfg.n_list,
+        "grid": asdict(cfg.grid),
+        "model": asdict(cfg.model),
+        "source": asdict(cfg.source),
+        "solver": {**asdict(cfg.picard), "route": cfg.route, "n": cfg.solve_n},
+        "sweep": {"n_list": cfg.n_list},
     }
 
 
@@ -241,28 +225,18 @@ def _sweep_rows(entries: list[SweepEntry]):
     return [[*astuple(e.report), e.diff_u, e.diff_k, "truncation_stabilization"] for e in entries]
 
 
-def _verify_rows(report) -> list:
+def _verify_rows(report: InvariantReport) -> list:
+    """One ``metric, value, certifies`` row per report field, in field order.
+
+    The level-set profile is reported by its last point: psi just above sup |u|.
+    """
     d = report.to_dict()
-    profile = d.pop("level_set_profile")
-    extinction = profile[-1][1] if profile else 0.0
-    naming = [
-        ("energy", "energy_bound"),
-        ("dissipation", "dissipation_bound"),
-        ("lp_a_gradk", "flux_lp_bound"),
-        ("lp_exponent", "flux_lp_bound"),
-        ("linf_u", "velocity_sup_bound"),
-        ("linf_k", "k_sup_bound"),
-        ("energy_identity_rel_residual", "energy_identity"),
-        ("idee_max_residual", "product_identity"),
-        ("sqrt_nu_h1_seminorm", "sqrt_viscosity_h1"),
-        ("chi_linf", "chi_sup_bound"),
-        ("stampacchia_rho", "exponent_bookkeeping"),
-        ("stampacchia_beta", "exponent_bookkeeping"),
-        ("holder_alpha_u", "holder_diagnostic"),
-        ("holder_alpha_k", "holder_diagnostic"),
-    ]
-    rows = [[metric, d[metric], certifies] for metric, certifies in naming]
-    rows.append(["level_set_psi_above_sup", extinction, "level_set_extinction"])
+    rows = []
+    for f in fields(InvariantReport):
+        name, value = f.name, d[f.name]
+        if name == "level_set_profile":
+            name, value = "level_set_psi_above_sup", value[-1][1] if value else 0.0
+        rows.append([name, value, f.metadata["certifies"]])
     return rows
 
 
@@ -318,7 +292,7 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
     if u.grid != cfg.grid or k.grid != cfg.grid:
         raise ValueError("stored fields do not match the configured grid")
     f = cfg.build_source()
-    report = full_report(u, k, f, cfg.model, n, r=cfg.source_r)
+    report = full_report(u, k, f, cfg.model, n, r=cfg.source.r)
     _write_csv(out / "verify.csv", ["metric", "value", "certifies"], _verify_rows(report))
     _write_json(out / "verify.json", {"config": config_echo(cfg), "report": report.to_dict()})
     return 0

@@ -180,17 +180,15 @@ def kirchhoff_k_solve(
     """Alternative k-update through the flux transform.
 
     With K = A(k) the k-equation becomes constant-coefficient:
-    -Lap K = min(n, D(u, nu_n(A_inv(K_lag)))).  The update solves that
-    Poisson problem, starting from K_lag = A(k_lag), and maps back
-    through A_inv; for constant a it reduces algebraically to the direct
-    update.
+    -Lap K = min(n, D(u, nu_n(k_lag))).  The update solves that Poisson
+    problem, starting from K_lag = A(k_lag), and maps back through A_inv;
+    for constant a it reduces algebraically to the direct update.
     """
     n = _check_level(n)
     _nonnegative(k_lag, "k_lag")
     g = u.grid
     K_lag = kirchhoff_A(m, k_lag.values)
-    k_back = kirchhoff_A_inv(m, K_lag)
-    nu_n, _, _ = truncated_coefficients(m, k_back, n)
+    nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
     K, _ = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=ScalarField(g, K_lag))

@@ -44,25 +44,33 @@ from .grid import (
 ABS_FLOOR = 1e-14
 
 
+def _certifies(estimate: str, **kwargs):
+    """A report field, labelled with the estimate it certifies."""
+    return field(metadata={"certifies": estimate}, **kwargs)
+
+
 @dataclass
 class InvariantReport:
-    """Measured values of the certified estimates for one solved pair."""
+    """Measured values of the certified estimates for one solved pair.
 
-    energy: float
-    dissipation: float
-    lp_a_gradk: float
-    lp_exponent: float
-    linf_u: float
-    linf_k: float
-    energy_identity_rel_residual: float
-    idee_max_residual: float
-    sqrt_nu_h1_seminorm: float
-    chi_linf: Optional[float]
-    stampacchia_rho: float
-    stampacchia_beta: float
-    holder_alpha_u: float
-    holder_alpha_k: float
-    level_set_profile: list = field(default_factory=list)
+    Each field's ``certifies`` metadata names the estimate it measures.
+    """
+
+    energy: float = _certifies("energy_bound")
+    dissipation: float = _certifies("dissipation_bound")
+    lp_a_gradk: float = _certifies("flux_lp_bound")
+    lp_exponent: float = _certifies("flux_lp_bound")
+    linf_u: float = _certifies("velocity_sup_bound")
+    linf_k: float = _certifies("k_sup_bound")
+    energy_identity_rel_residual: float = _certifies("energy_identity")
+    idee_max_residual: float = _certifies("product_identity")
+    sqrt_nu_h1_seminorm: float = _certifies("sqrt_viscosity_h1")
+    chi_linf: Optional[float] = _certifies("chi_sup_bound")
+    stampacchia_rho: float = _certifies("exponent_bookkeeping")
+    stampacchia_beta: float = _certifies("exponent_bookkeeping")
+    holder_alpha_u: float = _certifies("holder_diagnostic")
+    holder_alpha_k: float = _certifies("holder_diagnostic")
+    level_set_profile: list = _certifies("level_set_extinction", default_factory=list)
 
     def to_dict(self) -> dict:
         """JSON-ready fields: NaN sentinels become None, profile points lists."""

@@ -1,10 +1,14 @@
+import configparser
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from turbsolve import ScalarField, make_grid
-from turbsolve.cli import main, read_field, write_field
+from turbsolve import PicardConfig, ScalarField, ViscosityModel, make_grid
+from turbsolve.cli import _KEYS, Source, config_echo, load_config, main, read_field, write_field
 
 BASE = """
 [grid]
@@ -40,10 +44,46 @@ n_list = 1 2 4
 """
 
 
+TABLE_MODEL = """kind = table
+delta = 0.5
+table_s = 0 1 4 16
+table_nu = 1 1.5 2.5 4
+table_a = 1 1.2 2 3
+"""
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def write_config(tmp_path, text=BASE, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def without_section(text, name):
+    return re.sub(rf"\[{name}\]\n[^\[]*", "", text)
+
+
+def readme_config() -> configparser.ConfigParser:
+    """The README's INI schema, with its comments cut and its commented-out keys restored."""
+    block = README.read_text().split("```ini\n")[1].split("```")[0]
+    lines = [re.sub(r"^;\s*(?=\w+ =)", "", line).split(";")[0] for line in block.splitlines()]
+    parser = configparser.ConfigParser()
+    parser.read_string("\n".join(lines))
+    return parser
+
+
+def echo_as_ini(echo) -> str:
+    """A config echo written back as INI; unset (null) settings are left out."""
+    lines = []
+    for section, values in echo.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, list):
+                value = " ".join(str(v) for v in value)
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def test_field_dump_roundtrip(tmp_path):
@@ -190,12 +230,48 @@ class TestConfigValidation:
         assert "config error: unknown section [solvr]" in capsys.readouterr().err
 
     def test_every_documented_key_accepted(self, tmp_path):
-        text = BASE.replace("route = direct\n", "route = direct\ndamping = 1.0\ninit_k_value = 0.0\n"
-                            "inner_tol = 1e-12\nn = 2\n")
+        schema = readme_config()
+        assert {name: set(schema[name]) for name in schema.sections()} == _KEYS
         out = tmp_path / "o"
-        cfg = write_config(tmp_path, text + f"[output]\ndir = {out}\n")
-        assert main(["solve", "--config", cfg]) == 0
+        schema["output"]["dir"] = str(out)
+        with open(tmp_path / "readme.ini", "w") as fh:
+            schema.write(fh)
+        assert main(["solve", "--config", str(tmp_path / "readme.ini")]) == 0
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_empty_n_list(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE.replace("n_list = 1 2 4", "n_list ="))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: [sweep] n_list names no level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, attr, cls", [
+        ("model", "model", ViscosityModel),
+        ("source", "source", Source),
+        ("solver", "picard", PicardConfig),
+    ])
+    def test_absent_section_takes_defaults(self, tmp_path, section, attr, cls):
+        cfg = load_config(write_config(tmp_path, without_section(BASE, section)))
+        assert getattr(cfg, attr) == cls()
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("text", [
+        re.sub(r"kind = physical_sqrt\n[^\[]*", TABLE_MODEL + "\n", BASE),
+        BASE.replace("route = direct\n", "route = direct\ninner_tol = 1e-11\ninit_k_value = 0.25\n"),
+    ], ids=["table-without-gamma", "sqrt-with-gamma-and-solver-settings"])
+    def test_echo_rebuilds_the_config(self, tmp_path, text):
+        cfg = load_config(write_config(tmp_path, text))
+        echo = json.loads(json.dumps(config_echo(cfg)))
+        assert load_config(write_config(tmp_path, echo_as_ini(echo), "echo.ini")) == cfg
+
+    def test_echo_names_every_setting(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert {name: set(keys) for name, keys in echo.items()} == {
+            name: keys for name, keys in _KEYS.items() if name != "output"
+        }
 
 
 def write_zero_dumps(tmp_path, extra_rows=0, cut_rows=0):

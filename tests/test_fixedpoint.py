@@ -20,6 +20,7 @@ from turbsolve import (
     solve_k_given_u,
     solve_u_given_k,
 )
+from turbsolve import fixedpoint
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
@@ -240,6 +241,16 @@ class TestKirchhoffRoute:
         assert r2.converged
         assert np.max(np.abs(u1.values - u2.values)) <= 1e-6
         assert np.max(np.abs(k1.values - k2.values)) <= 1e-6
+
+    def test_one_inverse_transform_per_update(self, monkeypatch):
+        # nu_n is evaluated at k_lag itself; only the solved K maps back through A_inv
+        calls = []
+        inverse = fixedpoint.kirchhoff_A_inv
+        monkeypatch.setattr(fixedpoint, "kirchhoff_A_inv", lambda m, S: calls.append(1) or inverse(m, S))
+        g = make_grid(17, 17, 1.0, 1.0)
+        u = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
+        kirchhoff_k_solve(u, ScalarField.full(g, 0.5), HP_UNIT, 8)
+        assert len(calls) == 1
 
 
 class TestSweep:
