@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .coeffs import HypothesisViolation, ViscosityModel
-from .fixedpoint import ROUTES, PicardConfig, SolveReport, SweepEntry, n_sweep
+from .fixedpoint import ROUTES, PicardConfig, SolveReport, SweepEntry, check_levels, n_sweep
 from .grid import Grid, ScalarField, make_grid
 from .linsolve import LinearSolveError
 from .verify import InvariantReport, full_report, manufactured_errors
@@ -49,8 +49,9 @@ class Source:
     """The load f and its declared integrability exponent r (H0 needs r > 3/2).
 
     ``x0``, ``y0`` and ``sigma`` shape the gaussian preset; left unset they
-    are the domain centre and 0.1 * min(lx, ly).  The manufactured preset
-    ignores ``amplitude`` and takes the model's nu1.
+    are the domain centre and 0.1 * min(lx, ly).  The other presets reject
+    them.  The manufactured preset ignores ``amplitude`` and takes the
+    model's nu1.
     """
 
     preset: str = "constant"
@@ -63,6 +64,8 @@ class Source:
     def __post_init__(self):
         if self.preset not in ("constant", "gaussian", "manufactured"):
             raise ValueError(f"unknown source preset {self.preset!r}")
+        if self.preset != "gaussian" and any(v is not None for v in (self.x0, self.y0, self.sigma)):
+            raise ValueError(f"x0, y0 and sigma shape the gaussian preset only, not {self.preset!r}")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError("gaussian source needs sigma > 0")
         if self.r <= 1.5:
@@ -163,6 +166,8 @@ def load_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    check_levels(cfg.n_list)
+    check_levels([cfg.solve_n])
     if cfg.model.h1_ratio_inf() <= 0:
         raise HypothesisViolation(
             "H1", "a(s)/nu(s) has no positive floor (the dissipation estimate needs one)"

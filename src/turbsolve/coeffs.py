@@ -6,7 +6,8 @@ a floor delta > 0 (assumption H0).  Three kinds are supported:
 * ``physical_sqrt``: nu(s) = nu1 + nu2*sqrt(s), a(s) = a1 + a2*sqrt(s),
   the physically relevant unbounded family;
 * ``constant``: nu = nu1, a = a1, evaluated as ``physical_sqrt`` with
-  zero slopes (nonzero ``nu2`` or ``a2`` are rejected, not ignored);
+  zero slopes (nonzero ``nu2`` or ``a2`` are rejected, not ignored, and
+  both kinds reject table nodes);
 * ``table``: linear interpolation of sampled nodes, clamped to the last
   node beyond the table.
 
@@ -70,6 +71,9 @@ class ViscosityModel:
         if self.kind == "table":
             self._validate_table()
         else:
+            if any(t is not None for t in (self.table_s, self.table_nu, self.table_a)):
+                raise ValueError(f"a {self.kind} model takes no table nodes: "
+                                 "table_s, table_nu and table_a are for kind = table")
             if self.kind == "constant" and (self.nu2 != 0 or self.a2 != 0):
                 raise ValueError("a constant model takes no slopes: nu2 and a2 must be 0")
             if self.nu2 < 0 or self.a2 < 0:

@@ -24,7 +24,12 @@ The verification module and the cross-route checks rely on both.
 
 Existence theory for the truncated pair is non-constructive, so the
 solver is a damped Picard iteration with lagged coefficients: its fixed
-points are exactly the discrete solutions.  Three k-updates are offered:
+points are exactly the discrete solutions.  Its inner solves are inexact
+in the sense of inexact Newton methods (Dembo, Eisenstat & Steihaug 1982;
+Eisenstat & Walker 1996): an iterate that the next outer iteration will
+overwrite is solved only to a tenth of the predicted next increment, and
+convergence is certified only by an iteration whose inner solves all met
+the full inner tolerance.  Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
 (solve -Lap K = source with K = A(k), then map back through A_inv), and
 the chi route (proportional pairs only).  One driver runs all three; they
@@ -47,9 +52,13 @@ from .coeffs import (
     truncated_coefficients,
 )
 from .grid import Grid, ScalarField, face_average, face_weights, linf_norm, weighted_energy
-from .linsolve import INNER_TOL, assemble, solve_spd
+from .linsolve import INNER_TOL, LinearSolveReport, assemble, solve_spd
 
 ROUTES = ("direct", "kirchhoff", "chi")
+
+# An inner solve of a non-certifying outer iteration stops at this fraction
+# of the predicted next relative increment
+FORCING = 0.1
 
 
 @dataclass
@@ -59,7 +68,10 @@ class PicardConfig:
     damping applies to the k-update only: k <- (1-w) k_prev + w k_new.
     With damping 1.0 the iteration falls back to 0.5 for the rest of the
     solve the first time the increment grows.  Without a warm start k
-    begins at the constant init_k_value.
+    begins at the constant init_k_value.  inner_tol is the relative
+    residual of the certifying inner solves: those of the first two outer
+    iterations, of the one that converges and of the final u re-solve;
+    the others stop earlier (see ``_picard``).
     """
 
     tol: float = 1e-10
@@ -98,10 +110,11 @@ class SolveReport:
 
 
 class KStep(NamedTuple):
-    """Result of one k-update: the new k and the negative cells zeroed."""
+    """Result of one k-update: the new k, the negative cells zeroed and the inner solve's report."""
 
     field: ScalarField
     clamp_count: int
+    report: LinearSolveReport
     chi: Optional[ScalarField] = None  # the chi route's auxiliary unknown
 
 
@@ -144,19 +157,24 @@ def _nonnegative(field: ScalarField, name: str):
 
 def solve_u_given_k(
     k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL,
-    u0: Optional[ScalarField] = None,
-) -> ScalarField:
-    """u-solve with frozen coefficient min(n, nu(k)), the inner solve started from u0."""
+    u0: Optional[ScalarField] = None, loose_tol: Optional[float] = None,
+) -> tuple[ScalarField, LinearSolveReport]:
+    """u-solve with frozen coefficient min(n, nu(k)), the inner solve started from u0.
+
+    Returns u and the inner solve's report.  Here and in the k-updates,
+    ``inner_tol`` and ``loose_tol`` are the tol and loose_tol of
+    :func:`~turbsolve.linsolve.solve_spd`.
+    """
     n = _check_level(n)
     _nonnegative(k, "k")
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
     op = assemble(ScalarField(k.grid, nu_n))
-    u, _ = solve_spd(op, f, tol=inner_tol, x0=u0)
-    return u
+    return solve_spd(op, f, tol=inner_tol, x0=u0, loose_tol=loose_tol)
 
 
 def solve_k_given_u(
-    u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL
+    u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL,
+    loose_tol: Optional[float] = None,
 ) -> KStep:
     """One lagged k-update: coefficient and source frozen at k_lag.
 
@@ -169,13 +187,15 @@ def solve_k_given_u(
     nu_n, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField(u.grid, a_n))
-    k, _ = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol, x0=k_lag)
+    k, report = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol, x0=k_lag,
+                          loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(k.values)
-    return KStep(ScalarField(u.grid, k_vals), clamp_count)
+    return KStep(ScalarField(u.grid, k_vals), clamp_count, report)
 
 
 def kirchhoff_k_solve(
-    u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL
+    u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL,
+    loose_tol: Optional[float] = None,
 ) -> KStep:
     """Alternative k-update through the flux transform.
 
@@ -191,14 +211,15 @@ def kirchhoff_k_solve(
     nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
-    K, _ = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=ScalarField(g, K_lag))
+    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=ScalarField(g, K_lag),
+                          loose_tol=loose_tol)
     K_vals, clamp_count = _clamp(K.values)
-    return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count)
+    return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count, report)
 
 
 def _chi_k_step(
     f: ScalarField, u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int,
-    inner_tol: float = INNER_TOL,
+    inner_tol: float = INNER_TOL, loose_tol: Optional[float] = None,
 ) -> KStep:
     """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - (gamma/2) u^2).
 
@@ -207,10 +228,10 @@ def _chi_k_step(
     _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     op = assemble(ScalarField(u.grid, a_n))
     half_u2 = 0.5 * m.gamma * u.values**2
-    chi, _ = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol,
-                       x0=ScalarField(u.grid, k_lag.values + half_u2))
+    chi, report = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol,
+                            x0=ScalarField(u.grid, k_lag.values + half_u2), loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(chi.values - half_u2)
-    return KStep(ScalarField(u.grid, k_vals), clamp_count, chi)
+    return KStep(ScalarField(u.grid, k_vals), clamp_count, report, chi)
 
 
 def _initial_state(grid: Grid, cfg: PicardConfig, u0, k0):
@@ -244,42 +265,62 @@ def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
     )
 
 
+def _ratio(a: float, b: float) -> float:
+    """min(1, a/b) for a, b >= 0; 1 wherever a >= b, b = 0 included."""
+    return 1.0 if a >= b else a / b
+
+
 def _picard(m, n, f, cfg, u0, k0, k_step):
     """Damped Picard iteration alternating the u-solve and ``k_step``.
 
-    Stops when max(|du|_inf, |dk|_inf) <= tol.  With damping 1.0 it
-    falls back to 0.5 for the rest of the solve the first time the
-    increment grows.  On convergence u is re-solved once at the final k,
-    so the pair satisfies the u-equation to inner-solve accuracy.  Every
-    inner solve starts from the current iterate, so one whose start already
-    meets the inner tolerance costs a single matvec and no CG iteration.
-    Returns (u, k, report, last KStep).
+    Stops when max(|du|_inf, |dk|_inf) <= tol in an iteration whose inner
+    solves all certified ``cfg.inner_tol``.  The inner solves of the other
+    iterations are inexact: once a contraction ratio rho = increment_j /
+    increment_{j-1} has been measured, each may stop at relative residual
+    FORCING * min(1, rho) * min(1, rel), rel the last relative increment
+    max(|du|/|u|, |dk|/|k|), a tenth of the predicted next one (never below
+    inner_tol).  So the first two iterations run to inner_tol, and so does
+    the one after a small increment that a loose solve produced.  With
+    damping 1.0 the iteration falls back to 0.5 for the rest of the solve
+    the first time the increment grows.  On convergence u is re-solved once
+    at the final k, so the pair satisfies the u-equation to inner-solve
+    accuracy.  Every inner solve starts from the current iterate, so one
+    whose start already meets inner_tol costs a single matvec and no CG
+    iteration.  Returns (u, k, report, last KStep).
     """
     u, k = _initial_state(f.grid, cfg, u0, k0)
     omega = cfg.damping
     clamp_total = 0
     increment = float("inf")
     prev_increment = float("inf")
+    loose_tol = None  # stop target of the next inner solves; None runs them to inner_tol
     converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
-        u_new = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
-        kstep = k_step(u_new, k, m, n, inner_tol=cfg.inner_tol)
+        u_new, u_solve = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u,
+                                         loose_tol=loose_tol)
+        kstep = k_step(u_new, k, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
         clamp_total += kstep.clamp_count
         k_vals = (1.0 - omega) * k.values + omega * kstep.field.values
         k_new = ScalarField(k.grid, k_vals)
-        increment = max(linf_norm(ScalarField(u.grid, u_new.values - u.values)),
-                        linf_norm(ScalarField(k.grid, k_new.values - k.values)))
+        du = linf_norm(ScalarField(u.grid, u_new.values - u.values))
+        dk = linf_norm(ScalarField(k.grid, k_new.values - k.values))
+        increment = max(du, dk)
+        certified = max(u_solve.relative_residual, kstep.report.relative_residual) <= cfg.inner_tol
         u, k = u_new, k_new
-        if increment <= cfg.tol:
+        if increment <= cfg.tol and certified:
             converged = True
             break
         if increment > prev_increment and omega == 1.0:
             omega = 0.5
+        # after the first iteration prev_increment is inf, so rho = 0 keeps the second tight
+        rho = _ratio(increment, prev_increment)
+        rel = max(_ratio(du, linf_norm(u)), _ratio(dk, linf_norm(k)))
+        loose_tol = FORCING * rho * rel if increment > cfg.tol else None
         prev_increment = increment
 
     if converged:
-        u = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
+        u, _ = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
     report = _final_report(m, n, u, k, iterations, converged, increment, clamp_total)
     return u, k, report, kstep
 
@@ -345,6 +386,16 @@ class SweepEntry:
     diff_k: Optional[float] = None
 
 
+def check_levels(n_list) -> list[int]:
+    """The truncation levels of a sweep: at least one, each a positive integer, strictly ascending."""
+    levels = [_check_level(n) for n in n_list]
+    if len(levels) == 0:
+        raise ValueError("n_list must not be empty")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("n_list must be strictly ascending")
+    return levels
+
+
 def n_sweep(
     m: ViscosityModel,
     f: ScalarField,
@@ -359,11 +410,7 @@ def n_sweep(
     the entries.  Once no truncation is active the discrete problems
     coincide, so the differences collapse to iteration noise.
     """
-    levels = [_check_level(n) for n in n_list]
-    if len(levels) == 0:
-        raise ValueError("n_list must not be empty")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("n_list must be strictly ascending")
+    levels = check_levels(n_list)
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
 

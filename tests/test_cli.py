@@ -147,9 +147,9 @@ def test_verify_subcommand(tmp_path):
 
 
 def test_verify_zero_data(tmp_path):
-    text = BASE.replace("preset = gaussian", "preset = constant").replace(
-        "amplitude = 1.0", "amplitude = 0.0"
-    )
+    # a constant load takes no x0, y0 or sigma
+    text = re.sub(r"x0 = .*\ny0 = .*\nsigma = .*\n", "", BASE).replace(
+        "preset = gaussian", "preset = constant").replace("amplitude = 1.0", "amplitude = 0.0")
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
@@ -245,6 +245,22 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: [sweep] n_list names no level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("levels, n, message", [
+        ("4 2 1", "1", "n_list must be strictly ascending"),
+        ("2 2", "2", "n_list must be strictly ascending"),
+        ("0 2", "2", "must be a positive integer, got 0"),
+        ("1 2", "0", "must be a positive integer, got 0"),
+    ], ids=["descending", "repeated", "level-zero", "solver-n-zero"])
+    def test_bad_levels_rejected_before_output(self, tmp_path, capsys, command, levels, n, message):
+        text = BASE.replace("n_list = 1 2 4", f"n_list = {levels}").replace(
+            "route = direct", f"route = direct\nn = {n}")
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, attr, cls", [
         ("model", "model", ViscosityModel),
         ("source", "source", Source),
@@ -331,3 +347,28 @@ class TestModelConfig:
         cfg = write_config(tmp_path, text.replace("a2 = 1.0", "a2 = 0.0"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "nu2 and a2 must be 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["physical_sqrt", "constant"])
+    @pytest.mark.parametrize("key", ["table_s", "table_nu", "table_a"])
+    def test_table_nodes_rejected_off_table(self, tmp_path, capsys, kind, key):
+        text = BASE.replace("kind = physical_sqrt", f"kind = {kind}\n{key} = 1 2")
+        if kind == "constant":
+            text = text.replace("nu2 = 1.0", "nu2 = 0.0").replace("a2 = 1.0", "a2 = 0.0")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert f"config error: a {kind} model takes no table nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSourceConfig:
+    @pytest.mark.parametrize("preset", ["constant", "manufactured"])
+    @pytest.mark.parametrize("key", ["x0", "y0", "sigma"])
+    def test_gaussian_shape_rejected_elsewhere(self, tmp_path, capsys, preset, key):
+        # keep only the one shape key under test
+        text = re.sub(r"x0 = .*\ny0 = .*\nsigma = .*\n", f"{key} = 0.25\n", BASE)
+        text = text.replace("preset = gaussian", f"preset = {preset}")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: x0, y0 and sigma shape the gaussian preset only, not '{preset}'" in err
+        assert not out.exists()

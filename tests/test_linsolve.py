@@ -203,6 +203,37 @@ class TestWarmStart:
             solve_spd(A, b, x0=ScalarField.zeros(make_grid(9, 7, 1.0, 1.0)))
 
 
+class TestLooseTol:
+    def test_stops_early_and_reports_the_residual_reached(self):
+        g, c, A, rng = random_operator(nx=33, ny=33, seed=15)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        _, tight = solve_spd(A, b, tol=1e-12)
+        y, loose = solve_spd(A, b, tol=1e-12, loose_tol=1e-4)
+        assert loose.converged and 0 < loose.iterations < tight.iterations
+        res = np.linalg.norm(b.values - A.apply(y.values)) / np.linalg.norm(b.values)
+        assert loose.relative_residual == res
+        assert 1e-12 < res <= 1e-4
+
+    def test_start_missing_tol_takes_an_iteration(self):
+        # the start already meets the loose target; it is judged against tol
+        g, c, A, rng = random_operator(nx=33, ny=33, seed=16)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        x, _ = solve_spd(A, b, tol=1e-12)
+        x0 = ScalarField(g, x.values + 1e-8 * rng.standard_normal(g.shape))
+        start = np.linalg.norm(b.values - A.apply(x0.values)) / np.linalg.norm(b.values)
+        assert 1e-12 < start <= 1e-3
+        y, report = solve_spd(A, b, tol=1e-12, x0=x0, loose_tol=1e-3)
+        assert report.iterations >= 1 and report.relative_residual < start
+        assert not np.array_equal(y.values, x0.values)
+
+    def test_start_meeting_tol_returns_at_once(self):
+        g, c, A, rng = random_operator(seed=17)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        x, _ = solve_spd(A, b, tol=1e-12)
+        _, report = solve_spd(A, b, tol=1e-12, x0=x, loose_tol=1e-3)
+        assert report.iterations == 0 and report.relative_residual <= 1e-12
+
+
 def test_import_loads_no_scipy():
     # numpy is the one runtime dependency; scipy.fft alone doubles peak RSS
     src = str(Path(turbsolve.__file__).resolve().parents[1])
