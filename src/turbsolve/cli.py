@@ -16,6 +16,7 @@ import configparser
 import csv
 import io
 import json
+import shutil
 import sys
 import warnings
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
@@ -213,6 +214,15 @@ def read_field(path) -> ScalarField:
     return ScalarField(make_grid(nx, ny, lx, ly), values.T)
 
 
+def _same_dump(a: ScalarField, b: ScalarField) -> bool:
+    """Whether ``write_field`` writes the same bytes for a and b.
+
+    Keyed on the bit pattern, not on ``==``: -0.0 == 0.0, but ``%.17g``
+    writes ``-0``.
+    """
+    return a.grid == b.grid and np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
+
 def _write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -279,11 +289,19 @@ def run_sweep(cfg: RunConfig, out: Path) -> int:
         out / "reports.json",
         {"config": config_echo(cfg), "reports": [e.report.to_dict() for e in entries]},
     )
+    # once truncation stops binding the levels return the same fields bit
+    # for bit; copy the last dump of a name instead of formatting it again
+    last = {}  # dump name -> (field, path) of its last dump
     for e in entries:
-        write_field(out / f"u_n{e.report.n}.txt", e.u)
-        write_field(out / f"k_n{e.report.n}.txt", e.k)
-        if e.chi is not None:
-            write_field(out / f"chi_n{e.report.n}.txt", e.chi)
+        for name, field in (("u", e.u), ("k", e.k), ("chi", e.chi)):
+            if field is None:
+                continue
+            path = out / f"{name}_n{e.report.n}.txt"
+            if name in last and _same_dump(last[name][0], field):
+                shutil.copyfile(last[name][1], path)
+            else:
+                write_field(path, field)
+            last[name] = (field, path)
     failed = [e.report.n for e in entries if not e.report.converged]
     if failed:
         print(f"sweep entries did not converge at n = {failed}", file=sys.stderr)

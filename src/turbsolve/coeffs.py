@@ -9,7 +9,8 @@ a floor delta > 0 (assumption H0).  Three kinds are supported:
   zero slopes (nonzero ``nu2`` or ``a2`` are rejected, not ignored, and
   both kinds reject table nodes);
 * ``table``: linear interpolation of sampled nodes, clamped to the last
-  node beyond the table.
+  node beyond the table (slopes are rejected as for ``constant``, and so
+  is ``table_a`` when ``gamma`` is set).
 
 When ``gamma`` is set the pair is proportional, a = gamma*nu (assumption
 H2), and a is *realized* as gamma*nu everywhere so the proportionality is
@@ -70,26 +71,29 @@ class ViscosityModel:
             raise HypothesisViolation("H2", "gamma must be positive")
         if self.kind == "table":
             self._validate_table()
-        else:
-            if any(t is not None for t in (self.table_s, self.table_nu, self.table_a)):
-                raise ValueError(f"a {self.kind} model takes no table nodes: "
-                                 "table_s, table_nu and table_a are for kind = table")
-            if self.kind == "constant" and (self.nu2 != 0 or self.a2 != 0):
-                raise ValueError("a constant model takes no slopes: nu2 and a2 must be 0")
-            if self.nu2 < 0 or self.a2 < 0:
-                raise ValueError("sqrt-growth slopes must be nonnegative")
-            if self.nu1 < self.delta:
-                raise HypothesisViolation("H0", f"nu(0) = {self.nu1} falls below delta = {self.delta}")
-            if self.gamma is None and self.a1 < self.delta:
-                raise HypothesisViolation("H0", f"a(0) = {self.a1} falls below delta = {self.delta}")
-            if self.gamma is not None:
-                # a is realized as gamma*nu; declared a1/a2 must agree.
-                if not math.isclose(self.a1, self.gamma * self.nu1, rel_tol=1e-12, abs_tol=1e-300):
-                    raise HypothesisViolation("H2", "a1 != gamma * nu1 for a proportional pair")
-                if not math.isclose(self.a2, self.gamma * self.nu2, rel_tol=1e-12, abs_tol=1e-300):
-                    raise HypothesisViolation("H2", "a2 != gamma * nu2 for a proportional pair")
-                if self.gamma * self.nu1 < self.delta:
-                    raise HypothesisViolation("H0", "gamma * nu(0) falls below delta")
+        elif any(t is not None for t in (self.table_s, self.table_nu, self.table_a)):
+            raise ValueError(f"a {self.kind} model takes no table nodes: "
+                             "table_s, table_nu and table_a are for kind = table")
+        if self.kind != "physical_sqrt" and (self.nu2 != 0 or self.a2 != 0):
+            raise ValueError(f"a {self.kind} model takes no slopes: nu2 and a2 must be 0")
+        if self.kind != "table":
+            self._validate_sqrt()
+
+    def _validate_sqrt(self):
+        if self.nu2 < 0 or self.a2 < 0:
+            raise ValueError("sqrt-growth slopes must be nonnegative")
+        if self.nu1 < self.delta:
+            raise HypothesisViolation("H0", f"nu(0) = {self.nu1} falls below delta = {self.delta}")
+        if self.gamma is None and self.a1 < self.delta:
+            raise HypothesisViolation("H0", f"a(0) = {self.a1} falls below delta = {self.delta}")
+        if self.gamma is not None:
+            # a is realized as gamma*nu; declared a1/a2 must agree.
+            if not math.isclose(self.a1, self.gamma * self.nu1, rel_tol=1e-12, abs_tol=1e-300):
+                raise HypothesisViolation("H2", "a1 != gamma * nu1 for a proportional pair")
+            if not math.isclose(self.a2, self.gamma * self.nu2, rel_tol=1e-12, abs_tol=1e-300):
+                raise HypothesisViolation("H2", "a2 != gamma * nu2 for a proportional pair")
+            if self.gamma * self.nu1 < self.delta:
+                raise HypothesisViolation("H0", "gamma * nu(0) falls below delta")
 
     def _validate_table(self):
         if self.table_s is None or self.table_nu is None:
@@ -102,6 +106,8 @@ class ViscosityModel:
             raise ValueError("table_nu must match table_s")
         if np.any(nu < self.delta):
             raise HypothesisViolation("H0", "table nu values fall below delta")
+        if self.gamma is not None and self.table_a is not None:
+            raise ValueError("a table model with gamma set takes no table_a: a is gamma * nu")
         if self.gamma is None:
             if self.table_a is None:
                 raise ValueError("table model needs table_a when gamma is unset")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from turbsolve import PicardConfig, ScalarField, ViscosityModel, make_grid
+from turbsolve import PicardConfig, ScalarField, ViscosityModel, cli, make_grid, n_sweep
 from turbsolve.cli import _KEYS, Source, config_echo, load_config, main, read_field, write_field
 
 BASE = """
@@ -64,10 +64,11 @@ def without_section(text, name):
     return re.sub(rf"\[{name}\]\n[^\[]*", "", text)
 
 
-def readme_config() -> configparser.ConfigParser:
-    """The README's INI schema, with its comments cut and its commented-out keys restored."""
+def readme_config(restore=True) -> configparser.ConfigParser:
+    """The README's INI schema with its comments cut; ``restore`` keeps its commented-out keys."""
     block = README.read_text().split("```ini\n")[1].split("```")[0]
-    lines = [re.sub(r"^;\s*(?=\w+ =)", "", line).split(";")[0] for line in block.splitlines()]
+    lines = [(re.sub(r"^;\s*(?=\w+ =)", "", line) if restore else line).split(";")[0]
+             for line in block.splitlines()]
     parser = configparser.ConfigParser()
     parser.read_string("\n".join(lines))
     return parser
@@ -116,10 +117,70 @@ def test_sweep_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
-    for name in ("sweep.csv", "reports.json", "u_n4.txt", "k_n4.txt"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    assert {"sweep.csv", "reports.json", "u_n4.txt", "k_n4.txt"} <= set(names)
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
     assert "certifies" in header.split(",")
+
+
+def count_write_field(monkeypatch) -> list:
+    """Record the file name of every ``cli.write_field`` call from here on."""
+    written = []
+
+    def counting(path, field):
+        written.append(Path(path).name)
+        write_field(path, field)
+
+    monkeypatch.setattr(cli, "write_field", counting)
+    return written
+
+
+class TestSweepDumps:
+    @pytest.mark.parametrize("route", ["direct", "chi"])
+    def test_copied_dumps_match_fresh_ones(self, tmp_path, monkeypatch, route):
+        text = BASE.replace("route = direct", f"route = {route}").replace(
+            "n_list = 1 2 4", "n_list = 1 2 4 8 16 32 64")
+        path = write_config(tmp_path, text)
+        cfg = load_config(path)
+        written = count_write_field(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        dumps = []
+        for e in n_sweep(cfg.model, cfg.build_source(), cfg.n_list, cfg.picard, route=route):
+            for name, field in (("u", e.u), ("k", e.k), ("chi", e.chi)):
+                if field is not None:
+                    dumps.append(f"{name}_n{e.report.n}.txt")
+                    write_field(fresh / dumps[-1], field)
+        assert sorted(p.name for p in out.glob("*.txt")) == sorted(dumps)
+        for name in dumps:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert set(written) < set(dumps)  # the others were copied
+
+    def test_key_is_the_bit_pattern(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, BASE.replace("n_list = 1 2 4", "n_list = 1 2")))
+        entries = n_sweep(cfg.model, cfg.build_source(), cfg.n_list, cfg.picard)
+        zero = entries[0].u.values.copy()
+        zero[0, 0] = 0.0
+        negative_zero = zero.copy()
+        negative_zero[0, 0] = -0.0
+        assert np.array_equal(zero, negative_zero)  # equal under ==
+        entries[0].u = ScalarField(cfg.grid, zero)
+        entries[1].u = ScalarField(cfg.grid, negative_zero)
+        entries[1].k = entries[0].k
+        monkeypatch.setattr(cli, "n_sweep", lambda *args, **kwargs: entries)
+        written = count_write_field(monkeypatch)
+        out = tmp_path / "out"
+        out.mkdir()
+        cli.run_sweep(cfg, out)
+        assert written == ["u_n1.txt", "k_n1.txt", "u_n2.txt"]
+        assert (out / "u_n1.txt").read_text().splitlines()[3].split()[0] == "0"
+        assert (out / "u_n2.txt").read_text().splitlines()[3].split()[0] == "-0"
+        assert (out / "k_n2.txt").read_bytes() == (out / "k_n1.txt").read_bytes()
 
 
 def test_chi_route_writes_chi(tmp_path):
@@ -232,12 +293,19 @@ class TestConfigValidation:
     def test_every_documented_key_accepted(self, tmp_path):
         schema = readme_config()
         assert {name: set(schema[name]) for name in schema.sections()} == _KEYS
-        out = tmp_path / "o"
-        schema["output"]["dir"] = str(out)
-        with open(tmp_path / "readme.ini", "w") as fh:
-            schema.write(fh)
-        assert main(["solve", "--config", str(tmp_path / "readme.ini")]) == 0
-        assert (out / "report.json").exists()
+        # no one model kind takes every key: run the example as written (a
+        # table model), then its commented-out keys on the physical_sqrt kind
+        sqrt = readme_config()
+        sqrt["model"]["kind"] = "physical_sqrt"
+        for key in ("table_s", "table_nu", "table_a"):
+            del sqrt["model"][key]
+        for name, config in (("table", readme_config(restore=False)), ("sqrt", sqrt)):
+            out = tmp_path / name
+            config["output"]["dir"] = str(out)
+            with open(tmp_path / f"{name}.ini", "w") as fh:
+                config.write(fh)
+            assert main(["solve", "--config", str(tmp_path / f"{name}.ini")]) == 0
+            assert (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_empty_n_list(self, tmp_path, capsys, command):
@@ -347,6 +415,26 @@ class TestModelConfig:
         cfg = write_config(tmp_path, text.replace("a2 = 1.0", "a2 = 0.0"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "nu2 and a2 must be 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, message", [
+        ("gamma = 2\nnu2 = 7\ntable_s = 0 1\ntable_nu = 1 2\ntable_a = 9 9",
+         "a table model with gamma set takes no table_a"),
+        ("gamma = 2\ntable_s = 0 1\ntable_nu = 1 2\ntable_a = 9 9",
+         "a table model with gamma set takes no table_a"),
+        ("nu2 = 7\ntable_s = 0 1\ntable_nu = 1 2\ntable_a = 1 1",
+         "a table model takes no slopes"),
+        ("a2 = 7\ntable_s = 0 1\ntable_nu = 1 2\ntable_a = 1 1",
+         "a table model takes no slopes"),
+        ("gamma = 2\nnu2 = 7\ntable_s = 0 1\ntable_nu = 1 2",
+         "a table model takes no slopes"),
+    ], ids=["gamma-slope-and-table-a", "gamma-and-table-a", "nu2", "a2", "gamma-and-nu2"])
+    def test_table_rejects_unused_settings(self, tmp_path, capsys, settings, message):
+        text = re.sub(r"kind = physical_sqrt\n[^\[]*", f"kind = table\n{settings}\n\n", BASE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["physical_sqrt", "constant"])
     @pytest.mark.parametrize("key", ["table_s", "table_nu", "table_a"])
