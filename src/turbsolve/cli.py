@@ -16,6 +16,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import shutil
 import sys
 import warnings
@@ -35,13 +36,21 @@ _FLOAT_FMT = "{:.17g}"
 
 SWEEP_COLUMNS = [f.name for f in fields(SolveReport)] + ["diff_u_prev", "diff_k_prev", "certifies"]
 
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 # INI text -> value, by the annotated type of the dataclass field it sets
 _PARSERS = {
     str: str,
     int: int,
-    float: float,
-    Optional[float]: float,
-    Optional[tuple]: lambda text: tuple(float(t) for t in text.split()),
+    float: _finite,
+    Optional[float]: _finite,
+    Optional[tuple]: lambda text: tuple(_finite(t) for t in text.split()),
 }
 
 
@@ -120,13 +129,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _parse(section, name: str, parse):
+    """``section[name]`` parsed; a value it cannot parse is a ValueError naming the key."""
+    text = section[name]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _present(section, cls) -> dict:
     """The keys of ``section`` that name fields of ``cls``, parsed by field type.
 
     Absent keys are left out, so the dataclass's own defaults apply; a field
     without a default must be present (the ``KeyError`` names it).
     """
-    return {f.name: _PARSERS[f.type](section[f.name]) for f in fields(cls)
+    return {f.name: _parse(section, f.name, _PARSERS[f.type]) for f in fields(cls)
             if f.name in section or f.default is MISSING}
 
 
@@ -381,6 +399,9 @@ def main(argv=None) -> int:
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a field dump that cannot be read
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except (HypothesisViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,9 @@ each kind.
 The Kirchhoff-style flux transform A(s) = integral_0^s a(t) dt converts
 the quasilinear k-equation into a constant-coefficient one; A is strictly
 increasing with A' = a >= delta, so A(s) >= delta*s and the inverse obeys
-A_inv(S) <= S/delta.
+A_inv(S) <= S/delta.  The sqrt family inverts A by Newton on a cubic in
+sqrt(s), started above the root in closed form so that it descends
+monotonically; tables invert it by Newton with a bisection safeguard.
 """
 
 import math
@@ -31,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 A_INV_TOL = 1e-12  # |A(s) - S| <= A_INV_TOL * max(1, S)
+_TINY = np.finfo(float).tiny
 
 _KINDS = ("physical_sqrt", "constant", "table")
 
@@ -231,19 +234,29 @@ def _table_A(m: ViscosityModel, s):
 def kirchhoff_A_inv(m: ViscosityModel, S):
     """Inverse transform: the s >= 0 with |A(s) - S| <= 1e-12 * max(1, S).
 
-    A is strictly increasing with A' = a >= delta, so [0, S/delta] brackets
-    the root (this realizes the linear growth bound A_inv(S) <= S/delta);
-    a vectorized Newton iteration with bisection safeguard does the rest.
+    Defined for finite S >= 0; NaN, inf and negative S raise ValueError.
+    For the sqrt family with a2 > 0, s = t^2 with t the root of the cubic
+    p(t) = (c t + a1) t^2 - S, c = (2/3) a2, which is increasing and convex
+    on t >= 0.  Newton starts at the smaller one-term root
+    min(sqrt(S/a1), cbrt(S/c)), which lies at or above the true root, so
+    its iterates decrease monotonically to it and need no bracket; one step
+    past the tolerance takes t to rounding level.  Tables bracket the root
+    in [0, S/delta] (A' = a >= delta) and run Newton with a bisection
+    safeguard.  Both realize the linear growth bound A_inv(S) <= S/delta,
+    and both raise RuntimeError rather than return a value that misses the
+    contract.
     """
-    if np.any(np.asarray(S) < 0):
+    target = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(target)):
+        raise ValueError("the flux transform is only invertible for finite S")
+    if np.any(target < 0):
         raise ValueError("the flux transform is only invertible for S >= 0")
     if m.kind != "table":
         a1, a2 = m._a_coeffs()
-        if a2 == 0.0:
-            out = np.asarray(S, dtype=float) / a1
-            return out if np.ndim(S) else float(out)
+        out = target / a1 if a2 == 0.0 else _sqrt_A_inv(a1, (2.0 / 3.0) * a2, target)
+        return out if np.ndim(S) else float(out)
 
-    target = np.atleast_1d(np.asarray(S, dtype=float))
+    target = np.atleast_1d(target)
     lo = np.zeros_like(target)
     hi = target / m.delta
     x = hi * 0.5
@@ -252,7 +265,7 @@ def kirchhoff_A_inv(m: ViscosityModel, S):
         fx = kirchhoff_A(m, x) - target
         done = np.abs(fx) <= tol
         if np.all(done):
-            break
+            return x if np.ndim(S) else float(x[0])
         above = fx > 0
         hi = np.where(above, x, hi)
         lo = np.where(above, lo, x)
@@ -261,4 +274,23 @@ def kirchhoff_A_inv(m: ViscosityModel, S):
         bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
         x_new = np.where(bad, 0.5 * (lo + hi), x_new)
         x = np.where(done, x, x_new)
-    return x if np.ndim(S) else float(x[0])
+    raise RuntimeError("the flux-transform inverse missed its tolerance in 200 iterations")
+
+
+def _sqrt_A_inv(a1: float, c: float, S: np.ndarray) -> np.ndarray:
+    """s = t^2 with (c t + a1) t^2 = S, by Newton in t from above (see kirchhoff_A_inv)."""
+    # roots taken before dividing, so that S near the float maximum cannot overflow
+    t = np.minimum(np.sqrt(S) / math.sqrt(a1), np.cbrt(S) / c ** (1.0 / 3.0))
+    tol = A_INV_TOL * np.maximum(1.0, S)
+    for _ in range(50):
+        p = (c * t + a1) * t * t - S
+        done = np.all(np.abs(p) <= tol)
+        # In exact arithmetic every step descends, so a step that would climb
+        # is rounding (or a subnormal t^2) and t stays.  The derivative
+        # t (3 c t + 2 a1) vanishes only at S = 0, where t = 0 and p = 0, and
+        # the floor turns that 0/0 into a zero step.
+        t = np.minimum(t, t - p / np.maximum(t * (3.0 * c * t + 2.0 * a1), _TINY))
+        if done:
+            # the step after the tolerance is met takes t to rounding level
+            return t * t
+    raise RuntimeError("the flux-transform inverse missed its tolerance in 50 Newton steps")

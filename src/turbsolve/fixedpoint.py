@@ -31,9 +31,10 @@ overwrite is solved only to a tenth of the predicted next increment, and
 convergence is certified only by an iteration whose inner solves all met
 the full inner tolerance.  Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
-(solve -Lap K = source with K = A(k), then map back through A_inv), and
-the chi route (proportional pairs only).  One driver runs all three; they
-differ only in the k-update step it is given.
+(solve -Lap K = source with K = A(k) from zero, which the exact Poisson
+preconditioner finishes in one CG iteration, then map back through
+A_inv), and the chi route (proportional pairs only).  One driver runs all
+three; they differ only in the k-update step it is given.
 """
 
 from dataclasses import asdict, dataclass
@@ -47,7 +48,6 @@ from .coeffs import (
     HypothesisViolation,
     ViscosityModel,
     _check_level,
-    kirchhoff_A,
     kirchhoff_A_inv,
     truncated_coefficients,
 )
@@ -81,12 +81,17 @@ class PicardConfig:
     inner_tol: float = INNER_TOL
 
     def __post_init__(self):
-        if self.tol <= 0:
+        # each check is written to fail on NaN as well
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if not self.init_k_value >= 0:
+            raise ValueError("init_k_value must be nonnegative")
+        if not self.inner_tol > 0:
+            raise ValueError("inner_tol must be positive")
 
 
 @dataclass
@@ -201,18 +206,18 @@ def kirchhoff_k_solve(
 
     With K = A(k) the k-equation becomes constant-coefficient:
     -Lap K = min(n, D(u, nu_n(k_lag))).  The update solves that Poisson
-    problem, starting from K_lag = A(k_lag), and maps back through A_inv;
-    for constant a it reduces algebraically to the direct update.
+    problem from zero and maps back through A_inv; for constant a it
+    reduces algebraically to the direct update.  The CG preconditioner is
+    the exact inverse of this operator, so the solve ends after one
+    iteration, certified against the recomputed residual like any other.
     """
     n = _check_level(n)
     _nonnegative(k_lag, "k_lag")
     g = u.grid
-    K_lag = kirchhoff_A(m, k_lag.values)
     nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
-    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=ScalarField(g, K_lag),
-                          loose_tol=loose_tol)
+    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, loose_tol=loose_tol)
     K_vals, clamp_count = _clamp(K.values)
     return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count, report)
 

@@ -339,6 +339,48 @@ class TestConfigValidation:
         assert getattr(cfg, attr) == cls()
 
 
+def with_setting(text, section, key, value):
+    """``text`` with ``key = value`` in ``[section]``, replacing the key's line where there is one."""
+    line = f"{key} = {value}"
+    pattern = rf"^{key} = .*$"
+    if re.search(pattern, text, flags=re.M):
+        return re.sub(pattern, line, text, flags=re.M)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "lx", "inf"),
+        ("model", "delta", "nan"),
+        ("model", "nu1", "nan"),
+        ("source", "r", "nan"),
+        ("source", "amplitude", "nan"),
+        ("source", "amplitude", "inf"),
+        ("solver", "tol", "nan"),
+        ("solver", "inner_tol", "nan"),
+        ("solver", "inner_tol", "0"),
+        ("solver", "inner_tol", "-1e-12"),
+        ("solver", "init_k_value", "-1"),
+    ])
+    def test_rejected_before_output(self, tmp_path, capsys, section, key, value):
+        # without gamma, so that nu1 = nan is not caught by the a1 = gamma * nu1 check
+        base = BASE.replace("= 17", "= 9").replace("gamma = 1.0\n", "")
+        text = with_setting(base, section, key, value)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not out.exists()
+
+    def test_table_node_must_be_finite(self, tmp_path, capsys):
+        text = re.sub(r"kind = physical_sqrt\n[^\[]*", TABLE_MODEL + "\n", BASE.replace("= 17", "= 9"))
+        text = with_setting(text, "model", "table_nu", "1 nan 2.5 4")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "config error: table_nu: 'nan' is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigEcho:
     @pytest.mark.parametrize("text", [
         re.sub(r"kind = physical_sqrt\n[^\[]*", TABLE_MODEL + "\n", BASE),
@@ -397,6 +439,13 @@ class TestVerifyInput:
         u, k = write_zero_dumps(tmp_path, cut_rows=17)
         assert run_verify(tmp_path, u, k) == 2
         assert "holds 0 rows of 1 values, expected 17 rows of 17" in capsys.readouterr().err
+
+    def test_missing_dump(self, tmp_path, capsys):
+        _, k = write_zero_dumps(tmp_path)
+        missing = str(tmp_path / "missing_u.txt")
+        assert run_verify(tmp_path, missing, k) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ") and "Traceback" not in err
 
     def test_dump_without_header(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path, cut_rows=18)

@@ -14,10 +14,23 @@ from turbsolve import (
     make_grid,
     solve_u_given_k,
 )
-from turbsolve.coeffs import truncated_coefficients
+from turbsolve.coeffs import A_INV_TOL, truncated_coefficients
 
 SQRT_MODEL = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=2.0, a1=1.0, a2=1.0, delta=1.0)
 UNIT_SQRT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0, delta=1.0)
+
+# physical_sqrt models with gamma unset and set, each with a2 > 0 and a2 = 0
+INVERSE_MODELS = {
+    "sqrt": ViscosityModel(nu1=1.0, nu2=1.0, a1=1.5, a2=2.0, delta=0.5),
+    "sqrt-gamma": ViscosityModel(nu1=1.0, nu2=3.0, a1=2.0, a2=6.0, gamma=2.0, delta=1.0),
+    "linear": ViscosityModel(nu1=1.0, a1=2.0, delta=0.5),
+    "linear-gamma": ViscosityModel(nu1=1.0, a1=1.5, gamma=1.5, delta=1.0),
+}
+# the listed values, plus random ones spread over the decades they span
+COVERAGE_S = np.sort(np.concatenate((
+    [0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e6, 1e12],
+    10.0 ** np.random.default_rng(11).uniform(-323.0, 12.0, 500),
+)))
 
 
 class TestEvaluation:
@@ -124,6 +137,37 @@ class TestKirchhoffTransform:
             kirchhoff_A(UNIT_SQRT, -0.5)
         with pytest.raises(ValueError):
             kirchhoff_A_inv(UNIT_SQRT, -0.5)
+
+    @pytest.mark.parametrize("m", INVERSE_MODELS.values(), ids=INVERSE_MODELS)
+    def test_inverse_coverage(self, m):
+        S = COVERAGE_S
+        s = kirchhoff_A_inv(m, S)
+        # A(s) stays finite for S <= 1e12, so the contract is checked everywhere
+        assert np.all(np.abs(kirchhoff_A(m, s) - S) <= A_INV_TOL * np.maximum(1.0, S))
+        assert np.all(s >= 0.0) and np.all(s <= S / m.delta * (1 + 1e-12))
+        assert np.all(np.diff(s) >= 0.0)
+
+    @pytest.mark.parametrize("S", [np.nan, np.inf, np.array([0.5, np.nan, 2.0])],
+                             ids=["nan", "inf", "array-holding-nan"])
+    @pytest.mark.parametrize("m", [
+        UNIT_SQRT,
+        ViscosityModel(kind="constant", nu1=1.0, a1=2.0, delta=1.0),
+        ViscosityModel(kind="table", table_s=(0.0, 1.0), table_nu=(1.0, 2.0), gamma=1.0),
+    ], ids=["physical_sqrt", "constant", "table"])
+    def test_inverse_rejects_non_finite(self, m, S):
+        with pytest.raises(ValueError, match="finite"):
+            kirchhoff_A_inv(m, S)
+
+    def test_inverse_of_huge_value(self):
+        # the suite turns warnings into errors, so this also checks that nothing overflows
+        for m in (UNIT_SQRT, SQRT_MODEL, INVERSE_MODELS["sqrt-gamma"]):
+            s = kirchhoff_A_inv(m, 1e300)
+            assert abs(kirchhoff_A(m, s) - 1e300) <= A_INV_TOL * 1e300
+        # a1 and c = (2/3) a2 below 1: S/a1 and S/c would overflow
+        m = ViscosityModel(nu1=0.5, nu2=0.1, a1=0.5, a2=0.1, delta=0.5)
+        big = np.finfo(float).max
+        s = kirchhoff_A_inv(m, big)
+        assert 0.0 < s and s * m.delta <= big
 
     @given(st.floats(0.0, 100.0))
     @settings(max_examples=200)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,7 +22,8 @@ from turbsolve import (
     solve_k_given_u,
     solve_u_given_k,
 )
-from turbsolve import fixedpoint
+from turbsolve import coeffs, fixedpoint
+from turbsolve.linsolve import INNER_TOL
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
@@ -32,6 +35,22 @@ def gaussian_source(grid, amplitude=1.0, sigma=0.12, centre=(0.5, 0.5)):
     X, Y = grid.cell_centers()
     r2 = (X - centre[0] * grid.lx) ** 2 + (Y - centre[1] * grid.ly) ** 2
     return ScalarField(grid, amplitude * np.exp(-r2 / (2.0 * sigma**2)))
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap every binding of ``fn`` in the turbsolve modules; the list gets one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "turbsolve" or name.startswith("turbsolve."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def kron_poisson(grid):
@@ -244,13 +263,25 @@ class TestKirchhoffRoute:
 
     def test_one_inverse_transform_per_update(self, monkeypatch):
         # nu_n is evaluated at k_lag itself; only the solved K maps back through A_inv
-        calls = []
-        inverse = fixedpoint.kirchhoff_A_inv
-        monkeypatch.setattr(fixedpoint, "kirchhoff_A_inv", lambda m, S: calls.append(1) or inverse(m, S))
         g = make_grid(17, 17, 1.0, 1.0)
         u, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
+        calls = count_calls(monkeypatch, coeffs.kirchhoff_A_inv)
         kirchhoff_k_solve(u, ScalarField.full(g, 0.5), HP_UNIT, 8)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("loose_tol", [None, 1e-3])
+    def test_one_poisson_iteration_and_no_forward_transform(self, monkeypatch, loose_tol):
+        # the Poisson solve starts from zero, not from A(k_lag), and the exact
+        # preconditioner finishes it in one CG iteration
+        g = make_grid(33, 33, 1.0, 1.0)
+        u, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
+        forward = count_calls(monkeypatch, coeffs.kirchhoff_A)
+        a_calls = []
+        a = ViscosityModel.a
+        monkeypatch.setattr(ViscosityModel, "a", lambda m, s: a_calls.append(1) or a(m, s))
+        step = kirchhoff_k_solve(u, ScalarField.full(g, 0.5), HP_UNIT, 8, loose_tol=loose_tol)
+        assert len(forward) == 0 and len(a_calls) == 0
+        assert step.report.iterations <= 1 and step.report.relative_residual <= INNER_TOL
 
 
 class TestSweep:
