@@ -277,13 +277,12 @@ def _verify_rows(report: InvariantReport) -> list:
 
 
 def _out_dir(args, cfg) -> Path:
-    out = args.out or cfg.out_dir or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory named by --out or the config; each runner makes it."""
+    return Path(args.out or cfg.out_dir or "out")
 
 
 def run_solve(cfg: RunConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     f = cfg.build_source()
     [entry] = n_sweep(cfg.model, f, [cfg.solve_n], cfg.picard, route=cfg.route)
     report = entry.report
@@ -300,6 +299,7 @@ def run_solve(cfg: RunConfig, out: Path) -> int:
 
 
 def run_sweep(cfg: RunConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     f = cfg.build_source()
     entries = n_sweep(cfg.model, f, cfg.n_list, cfg.picard, route=cfg.route)
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, _sweep_rows(entries))
@@ -332,6 +332,7 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
     k = read_field(k_path)
     if u.grid != cfg.grid or k.grid != cfg.grid:
         raise ValueError("stored fields do not match the configured grid")
+    out.mkdir(parents=True, exist_ok=True)  # only once both dumps were read and match
     f = cfg.build_source()
     report = full_report(u, k, f, cfg.model, n, r=cfg.source.r)
     _write_csv(out / "verify.csv", ["metric", "value", "certifies"], _verify_rows(report))
@@ -342,6 +343,7 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
 def run_mms(cfg: RunConfig, out: Path, sizes) -> int:
     if cfg.model.nu2 != 0.0:
         raise ValueError("the manufactured-solution check needs a constant model")
+    out.mkdir(parents=True, exist_ok=True)
     rows = manufactured_errors(sizes, nu0=cfg.model.nu1, cfg=cfg.picard)
     table = []
     prev_err = None
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a field dump that cannot be read
+    except OSError as exc:  # a field dump that cannot be read, or an unusable --out
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (HypothesisViolation, ValueError) as exc:

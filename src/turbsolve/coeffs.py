@@ -202,15 +202,21 @@ def kirchhoff_A(m: ViscosityModel, s):
 
     sqrt family: a1*s + (2/3)*a2*s^(3/2); table models integrate the
     piecewise-linear interpolant exactly (piecewise quadratic), which
-    trivially meets the 1e-12 relative accuracy budget.
+    trivially meets the 1e-12 relative accuracy budget.  Raises ValueError
+    where A(s) is not a finite float (the sqrt family overflows for s above
+    about 1e205).
     """
     m._check_domain(s)
-    if m.kind != "table":
-        a1, a2 = m._a_coeffs()
-        arr = np.asarray(s, dtype=float)
-        out = a1 * arr + (2.0 / 3.0) * a2 * arr ** 1.5
-        return out if np.ndim(s) else float(out)
-    return _table_A(m, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.kind != "table":
+            a1, a2 = m._a_coeffs()
+            arr = np.asarray(s, dtype=float)
+            out = a1 * arr + (2.0 / 3.0) * a2 * arr ** 1.5
+        else:
+            out = _table_A(m, s)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the flux transform A(s) is not a finite float")
+    return out if np.ndim(s) else float(out)
 
 
 def _table_A(m: ViscosityModel, s):
@@ -228,7 +234,7 @@ def _table_A(m: ViscosityModel, s):
     tail = arr > nodes[-1]
     if np.any(tail):
         out = np.where(tail, cum[-1] + vals[-1] * (arr - nodes[-1]), out)
-    return out if np.ndim(s) else float(out)
+    return out
 
 
 def kirchhoff_A_inv(m: ViscosityModel, S):

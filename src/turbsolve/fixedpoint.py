@@ -10,9 +10,10 @@ where a_n = gamma * min(n, nu(.)) for proportional pairs (gamma set) and
 min(n, a(.)) otherwise, and D(u, c) is the cell dissipation density
 produced by :func:`dissipation_source`.
 
-D is built per face and averaged to cells with the same face coefficients
-and half-weight wall faces as the assembled operator.  That choice makes
-two substitution identities hold *algebraically* (not just to O(h^2)):
+D is built per face and averaged to cells from the same flat stencil
+weights as the assembled operator (:func:`turbsolve._kernels.stencil_weights`).
+That choice makes two substitution identities hold *algebraically* (not
+just to O(h^2)):
 
 * tested with u itself, the u-equation gives the energy identity
   sum f u m = weighted_energy(nu_n(k), u);
@@ -51,7 +52,7 @@ from .coeffs import (
     kirchhoff_A_inv,
     truncated_coefficients,
 )
-from .grid import Grid, ScalarField, face_average, face_weights, linf_norm, weighted_energy
+from .grid import Grid, ScalarField, linf_norm, weighted_energy
 from .linsolve import INNER_TOL, LinearSolveReport, assemble, solve_spd
 
 ROUTES = ("direct", "kirchhoff", "chi")
@@ -131,15 +132,15 @@ def dissipation_source(u: ScalarField, c: ScalarField) -> ScalarField:
     cell) and wall faces at half weight.  Cells tile the faces, so
     interior faces are shared by two cells; summed against any cell field
     this reproduces the operator pairing exactly.  Passing c = 1 yields
-    the discrete |grad u|^2 cell quantity.
+    the discrete |grad u|^2 cell quantity.  The face terms come from the
+    flat stencil weights that :func:`~turbsolve.linsolve.assemble` gives
+    the operator A(c).
     """
     if u.grid != c.grid:
         raise ValueError("field and coefficient live on different grids")
     g = u.grid
-    cfx, cfy = face_average(c.values)
-    kx, ky = face_weights(g)
-    vals = _kernels.dissipation_cells(u.values, cfx, cfy, kx, ky, g.hx, g.hy)
-    return ScalarField(g, vals)
+    weights = _kernels.stencil_weights(c.values, g.hx, g.hy)
+    return ScalarField(g, _kernels.dissipation_cells(u.values, *weights))
 
 
 def _truncated_source(u: ScalarField, nu_n: np.ndarray, n: int):

@@ -13,6 +13,7 @@ algebraically with <A(c)v, v> * hx*hy for the operator assembled in
 :mod:`turbsolve.linsolve`; the verification module leans on that identity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ class Grid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"need at least 2 cells per axis, got {self.nx}x{self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError(f"domain edges must be positive, got {self.lx}x{self.ly}")
+        # written to fail on NaN as well
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise ValueError(f"domain edges must be positive and finite, got {self.lx}x{self.ly}")
 
     @property
     def hx(self) -> float:
@@ -150,18 +152,15 @@ def weighted_energy(c: ScalarField, v: ScalarField) -> float:
     """Face-quadrature energy  sum_f c_f |dv|_f^2 w_f  ~ integral c|grad v|^2.
 
     c is averaged to faces arithmetically (wall faces use the single inner
-    cell); w_f is hx*hy on interior faces and half that on wall faces, so
-    the result equals <A(c)v, v> * hx*hy for the assembled operator.
+    cell); w_f is hx*hy on interior faces and half that on wall faces.  The
+    sum runs over the flat stencil weights that the assembled operator A(c)
+    holds (:func:`turbsolve._kernels.stencil_weights`): wd v^2 plus
+    w (dv)^2 per interior face, so it is <A(c)v, v> * hx*hy by construction.
     """
     if c.grid != v.grid:
         raise ValueError("coefficient and field live on different grids")
     if np.any(c.values <= 0):
         raise ValueError("weighted_energy requires a positive coefficient field")
     g = v.grid
-    gx, gy = _kernels.face_gradients(v.values, g.hx, g.hy)
-    cfx, cfy = face_average(c.values)
-    kx, ky = face_weights(g)
-    m = g.cell_area
-    ex = float(np.sum((kx[:, None] * cfx) * gx * gx))
-    ey = float(np.sum((ky[None, :] * cfy) * gy * gy))
-    return (ex + ey) * m
+    weights = _kernels.stencil_weights(c.values, g.hx, g.hy)
+    return _kernels.stencil_energy(v.values, *weights) * g.cell_area

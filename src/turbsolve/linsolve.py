@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .grid import Grid, ScalarField, face_average
+from .grid import Grid, ScalarField
 
 INNER_TOL = 1e-12
 
@@ -48,20 +48,30 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(eq=False)
 class DiffusionOperator:
-    """Assembled -div(c grad .) with per-face coefficients; apply calls share one flux scratch."""
+    """Assembled -div(c grad .) as one flat five-point stencil.
+
+    The weights are those of :func:`turbsolve._kernels.stencil_weights`;
+    they are read-only, so no apply runs on weights changed after
+    assembly.  Apply calls share one scratch vector.
+    """
 
     grid: Grid
-    cfx: np.ndarray  # (nx+1, ny)
-    cfy: np.ndarray  # (nx, ny+1)
+    wx: np.ndarray  # (nx-1)*ny interior x-face weights, neighbour offset ny
+    wy: np.ndarray  # nx*ny - 1 interior y-face weights, neighbour offset 1
+    wd: np.ndarray  # nx*ny wall-face diagonal
 
     def __post_init__(self):
-        self._gx, self._gy = np.empty(self.cfx.shape), np.empty(self.cfy.shape)
+        for a in (self.wx, self.wy, self.wd):
+            a.flags.writeable = False
+        self._t = np.empty(self.wy.size)
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A v, written into ``out`` when given (a fresh array otherwise)."""
-        out = np.empty(self.grid.shape) if out is None else out
-        return _kernels.diffusion_matvec(v, self.cfx, self.cfy, self.grid.hx, self.grid.hy,
-                                         out, self._gx, self._gy)
+        """A v, written into ``out`` (C-contiguous) when given, a fresh array otherwise."""
+        if out is None:
+            out = np.empty(self.grid.shape)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        return _kernels.diffusion_matvec(v, self.wx, self.wy, self.wd, out, self._t)
 
 
 def _dst2_basis(n: int, h: float):
@@ -109,8 +119,8 @@ def assemble(c: ScalarField) -> DiffusionOperator:
     """Build the operator for a cellwise coefficient c > 0."""
     if np.any(c.values <= 0):
         raise ValueError("diffusion coefficient must be positive cellwise")
-    cfx, cfy = face_average(c.values)
-    return DiffusionOperator(c.grid, cfx, cfy)
+    g = c.grid
+    return DiffusionOperator(g, *_kernels.stencil_weights(c.values, g.hx, g.hy))
 
 
 def solve_spd(

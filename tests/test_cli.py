@@ -183,6 +183,23 @@ class TestSweepDumps:
         assert (out / "k_n2.txt").read_bytes() == (out / "k_n1.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_naming_a_file(tmp_path, capsys, command):
+    out = tmp_path / "afile"
+    out.write_text("keep\n")
+    assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert out.read_text() == "keep\n"
+
+
+def test_out_under_a_file(tmp_path, capsys):
+    out = tmp_path / "afile" / "o"
+    out.parent.write_text("keep\n")
+    assert main(["solve", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
 def test_chi_route_writes_chi(tmp_path):
     cfg = write_config(tmp_path, BASE.replace("route = direct", "route = chi"))
     out = tmp_path / "out"
@@ -446,6 +463,24 @@ class TestVerifyInput:
         assert run_verify(tmp_path, missing, k) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {missing}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("missing", ["u", "k"])
+    def test_missing_dump_makes_no_out_dir(self, tmp_path, capsys, missing):
+        dumps = dict(zip("uk", write_zero_dumps(tmp_path)))
+        dumps[missing] = str(tmp_path / f"missing_{missing}.txt")
+        assert run_verify(tmp_path, dumps["u"], dumps["k"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {dumps[missing]}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_dump_with_nan_edge(self, tmp_path, capsys):
+        u, k = write_zero_dumps(tmp_path)
+        lines = Path(u).read_text().splitlines()
+        lines[2] = "nan 1"
+        Path(u).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="positive and finite"):
+            read_field(u)
+        assert run_verify(tmp_path, u, k) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
     def test_dump_without_header(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path, cut_rows=18)

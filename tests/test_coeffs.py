@@ -132,6 +132,18 @@ class TestKirchhoffTransform:
             back = kirchhoff_A_inv(m, kirchhoff_A(m, s))
             assert np.max(np.abs(back - s)) <= 1e-10
 
+    @pytest.mark.parametrize("s", [1e210, np.array([1.0, 1e210])], ids=["scalar", "array"])
+    def test_overflowing_A_raises(self, s):
+        # the suite turns warnings into errors, so this also checks that no overflow warning escapes
+        with pytest.raises(ValueError, match="not a finite float"):
+            kirchhoff_A(UNIT_SQRT, s)
+
+    def test_A_below_overflow_unchanged(self):
+        s = np.array([0.0, 0.5, 4.0, 1e100, 1e200])
+        A = kirchhoff_A(UNIT_SQRT, s)
+        assert np.array_equal(A, s + (2.0 / 3.0) * s ** 1.5)
+        assert kirchhoff_A(UNIT_SQRT, 1e200) == A[-1]
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             kirchhoff_A(UNIT_SQRT, -0.5)

@@ -37,6 +37,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(*bad)
 
+    @pytest.mark.parametrize("lx, ly", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)],
+                             ids=["nan-lx", "nan-ly", "inf-lx", "inf-ly"])
+    def test_rejects_non_finite_edges(self, lx, ly):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_grid(9, 9, lx, ly)
+
     def test_measure_matches_cell_sum(self):
         g = make_grid(7, 13, 2.5, 0.75)
         assert g.nx * g.ny * g.cell_area == pytest.approx(g.area, rel=1e-15)

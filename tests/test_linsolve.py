@@ -18,6 +18,7 @@ from turbsolve import (
     weighted_energy,
 )
 from turbsolve._kernels import face_gradients
+from turbsolve.grid import face_average
 from turbsolve.linsolve import poisson_inverse
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
@@ -289,10 +290,13 @@ class TestInPlace:
         assert A.apply(v, out=buf) is buf
         fresh = A.apply(v)
         assert fresh is not buf and np.array_equal(buf, fresh)
-        # the out-of-place stencil: differences of face fluxes
+        # the out-of-place stencil: differences of face fluxes, equal up to
+        # the rounding of the flat stencil's other order of operations
         gx, gy = face_gradients(v, g.hx, g.hy)
-        fx, fy = A.cfx * gx, A.cfy * gy
-        assert np.array_equal(fresh, (fx[:-1, :] - fx[1:, :]) / g.hx + (fy[:, :-1] - fy[:, 1:]) / g.hy)
+        cfx, cfy = face_average(c.values)
+        fx, fy = cfx * gx, cfy * gy
+        flux = (fx[:-1, :] - fx[1:, :]) / g.hx + (fy[:, :-1] - fy[:, 1:]) / g.hy
+        assert np.max(np.abs(fresh - flux)) <= 1e-13 * np.max(np.abs(flux))
 
     def test_solve_matches_out_of_place_cg_bit_for_bit(self):
         g = make_grid(33, 33, 1.0, 1.0)
