@@ -216,20 +216,24 @@ def write_field(path, field: ScalarField):
 
 
 def read_field(path) -> ScalarField:
-    with open(path) as fh:
-        header = [fh.readline() for _ in range(3)]
-        if not header[2]:
-            raise ValueError(f"{path} lacks the 3-line header (nx, ny, lx ly)")
-        nx, ny = int(header[0]), int(header[1])
-        lx, ly = (float(t) for t in header[2].split())
-        with warnings.catch_warnings():
-            # a header-only dump is reported by the shape check below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, ndmin=2)
-    if values.shape != (ny, nx):
-        raise ValueError(f"{path} holds {values.shape[0]} rows of {values.shape[1]} values, "
-                         f"expected {ny} rows of {nx}")
-    return ScalarField(make_grid(nx, ny, lx, ly), values.T)
+    """The field dump at ``path``; a dump it cannot parse is a ValueError naming the path."""
+    try:
+        with open(path) as fh:
+            header = [fh.readline().strip() for _ in range(3)]
+            if not header[2]:
+                raise ValueError("lacks the 3-line header (nx, ny, lx ly)")
+            nx, ny = int(header[0]), int(header[1])
+            lx, ly = (float(t) for t in header[2].split())
+            with warnings.catch_warnings():
+                # a header-only dump is reported by the shape check below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, ndmin=2)
+        if values.shape != (ny, nx):
+            raise ValueError(f"holds {values.shape[0]} rows of {values.shape[1]} values, "
+                             f"expected {ny} rows of {nx}")
+        return ScalarField(make_grid(nx, ny, lx, ly), values.T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _same_dump(a: ScalarField, b: ScalarField) -> bool:
@@ -251,7 +255,8 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a non-finite float raises here instead of writing NaN or Infinity
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _sweep_rows(entries: list[SweepEntry]):
@@ -328,11 +333,16 @@ def run_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
+    check_levels([n])
     u = read_field(u_path)
     k = read_field(k_path)
     if u.grid != cfg.grid or k.grid != cfg.grid:
         raise ValueError("stored fields do not match the configured grid")
-    out.mkdir(parents=True, exist_ok=True)  # only once both dumps were read and match
+    negative = np.count_nonzero(k.values < 0)
+    if negative:
+        raise ValueError(f"{k_path}: k < 0 in {negative} of {k.values.size} cells; "
+                         "the coefficients are only defined for k >= 0")
+    out.mkdir(parents=True, exist_ok=True)  # only once the level and both dumps passed
     f = cfg.build_source()
     report = full_report(u, k, f, cfg.model, n, r=cfg.source.r)
     _write_csv(out / "verify.csv", ["metric", "value", "certifies"], _verify_rows(report))

@@ -23,7 +23,7 @@ the quasilinear k-equation into a constant-coefficient one; A is strictly
 increasing with A' = a >= delta, so A(s) >= delta*s and the inverse obeys
 A_inv(S) <= S/delta.  The sqrt family inverts A by Newton on a cubic in
 sqrt(s), started above the root in closed form so that it descends
-monotonically; tables invert it by Newton with a bisection safeguard.
+monotonically; tables invert each quadratic segment in closed form.
 """
 
 import math
@@ -147,20 +147,12 @@ class ViscosityModel:
             return self.gamma * self.nu1, self.gamma * self.nu2
         return self.a1, self.a2
 
-    def _a_nodes(self):
-        s = np.asarray(self.table_s, dtype=float)
-        if self.gamma is not None:
-            vals = self.gamma * np.asarray(self.table_nu, dtype=float)
-        else:
-            vals = np.asarray(self.table_a, dtype=float)
-        return s, vals
-
     def h1_ratio_inf(self) -> float:
         """Exact infimum over s >= 0 of a(s)/nu(s)."""
         if self.gamma is not None:
             return float(self.gamma)
         if self.kind == "table":
-            s, a = self._a_nodes()
+            _, a, _, _ = _table_segments(self)
             nu = np.asarray(self.table_nu, dtype=float)
             # ratio of piecewise-linear functions is monotone per segment,
             # and constant beyond the table: node minimum is the infimum
@@ -219,17 +211,25 @@ def kirchhoff_A(m: ViscosityModel, s):
     return out if np.ndim(s) else float(out)
 
 
+def _table_segments(m: ViscosityModel):
+    """A table's nodes, a at the nodes, a's slope on each segment and A at the nodes."""
+    nodes = np.asarray(m.table_s, dtype=float)
+    if m.gamma is not None:
+        vals = m.gamma * np.asarray(m.table_nu, dtype=float)
+    else:
+        vals = np.asarray(m.table_a, dtype=float)
+    width = np.diff(nodes)
+    # the trapezoid rule is exact for linear pieces
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * width)))
+    return nodes, vals, np.diff(vals) / width, cum
+
+
 def _table_A(m: ViscosityModel, s):
-    nodes, vals = m._a_nodes()
-    # cumulative integral at nodes (trapezoid is exact for linear pieces)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes))))
+    nodes, vals, slope, cum = _table_segments(m)
     arr = np.asarray(s, dtype=float)
     idx = np.clip(np.searchsorted(nodes, arr, side="right") - 1, 0, nodes.size - 2)
-    s0 = nodes[idx]
-    a0 = vals[idx]
-    slope = (vals[idx + 1] - vals[idx]) / (nodes[idx + 1] - nodes[idx])
-    t = arr - s0
-    out = cum[idx] + a0 * t + 0.5 * slope * t * t
+    t = arr - nodes[idx]
+    out = cum[idx] + vals[idx] * t + 0.5 * slope[idx] * t * t
     # beyond the last node the coefficient is constant
     tail = arr > nodes[-1]
     if np.any(tail):
@@ -238,49 +238,47 @@ def _table_A(m: ViscosityModel, s):
 
 
 def kirchhoff_A_inv(m: ViscosityModel, S):
-    """Inverse transform: the s >= 0 with |A(s) - S| <= 1e-12 * max(1, S).
+    """Inverse transform: the s >= 0 with A(s) = S, for finite S >= 0.
 
-    Defined for finite S >= 0; NaN, inf and negative S raise ValueError.
-    For the sqrt family with a2 > 0, s = t^2 with t the root of the cubic
-    p(t) = (c t + a1) t^2 - S, c = (2/3) a2, which is increasing and convex
-    on t >= 0.  Newton starts at the smaller one-term root
-    min(sqrt(S/a1), cbrt(S/c)), which lies at or above the true root, so
-    its iterates decrease monotonically to it and need no bracket; one step
-    past the tolerance takes t to rounding level.  Tables bracket the root
-    in [0, S/delta] (A' = a >= delta) and run Newton with a bisection
-    safeguard.  Both realize the linear growth bound A_inv(S) <= S/delta,
-    and both raise RuntimeError rather than return a value that misses the
-    contract.
+    NaN, inf and negative S raise ValueError, as does an S whose inverse is
+    not a finite float (S near the float maximum with delta < 1).  Every
+    kind realizes the linear growth bound A_inv(S) <= S/delta.
+
+    * constant (or a2 = 0): s = S/a1.
+    * physical_sqrt, a2 > 0: |A(s) - S| <= A_INV_TOL * max(1, S).  s = t^2,
+      t the root of p(t) = (c t + a1) t^2 - S, c = (2/3) a2, increasing and
+      convex on t >= 0.  Newton from min(sqrt(S/a1), cbrt(S/c)), at or above
+      the root, descends to it with no bracket; one step past the tolerance
+      takes t to rounding level.  RuntimeError if it misses.
+    * table: closed form, no loop and no tolerance.  Past node s_i,
+      A(s_i + t) = A(s_i) + a_i t + b_i t^2 / 2, so with r = S - A(s_i),
+      t = 2 r / (a_i + sqrt(a_i^2 + 2 b_i r)), whose denominator adds two
+      positive terms (a_i + b_i t >= delta), also where a falls.  Beyond the
+      last node A is linear.  Node integrals map to their nodes exactly; any
+      other s is, to two float steps, the exact root for a target within
+      2**-51 * S of S.
     """
     target = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(target)):
         raise ValueError("the flux transform is only invertible for finite S")
     if np.any(target < 0):
         raise ValueError("the flux transform is only invertible for S >= 0")
-    if m.kind != "table":
-        a1, a2 = m._a_coeffs()
-        out = target / a1 if a2 == 0.0 else _sqrt_A_inv(a1, (2.0 / 3.0) * a2, target)
-        return out if np.ndim(S) else float(out)
-
-    target = np.atleast_1d(target)
-    lo = np.zeros_like(target)
-    hi = target / m.delta
-    x = hi * 0.5
-    tol = A_INV_TOL * np.maximum(1.0, target)
-    for _ in range(200):
-        fx = kirchhoff_A(m, x) - target
-        done = np.abs(fx) <= tol
-        if np.all(done):
-            return x if np.ndim(S) else float(x[0])
-        above = fx > 0
-        hi = np.where(above, x, hi)
-        lo = np.where(above, lo, x)
-        step = fx / np.maximum(m.a(x), m.delta)
-        x_new = x - step
-        bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
-        x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        x = np.where(done, x, x_new)
-    raise RuntimeError("the flux-transform inverse missed its tolerance in 200 iterations")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.kind == "table":
+            nodes, vals, slope, cum = _table_segments(m)
+            idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, nodes.size - 2)
+            r = target - cum[idx]
+            # the radicand is a(s)^2; rounding can take it below 0 where a falls steeply to delta
+            root = np.sqrt(np.maximum(vals[idx] ** 2 + 2.0 * slope[idx] * r, 0.0))
+            out = nodes[idx] + 2.0 * r / (vals[idx] + root)
+            # from the last node integral on, A is linear
+            out = np.where(target >= cum[-1], nodes[-1] + (target - cum[-1]) / vals[-1], out)
+        else:
+            a1, a2 = m._a_coeffs()
+            out = target / a1 if a2 == 0.0 else _sqrt_A_inv(a1, (2.0 / 3.0) * a2, target)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the inverse flux transform A_inv(S) is not a finite float")
+    return out if np.ndim(S) else float(out)
 
 
 def _sqrt_A_inv(a1: float, c: float, S: np.ndarray) -> np.ndarray:

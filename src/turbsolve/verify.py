@@ -73,10 +73,11 @@ class InvariantReport:
     level_set_profile: list = _certifies("level_set_extinction", default_factory=list)
 
     def to_dict(self) -> dict:
-        """JSON-ready fields: NaN sentinels become None, profile points lists."""
+        """JSON-ready fields: non-finite floats (the NaN sentinels, rho = inf
+        for r >= 3) become None, profile points lists."""
         d = asdict(self)
         d["level_set_profile"] = [list(point) for point in self.level_set_profile]
-        return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in d.items()}
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
 
 
 def energy_identity_residual(

@@ -224,6 +224,42 @@ def test_verify_subcommand(tmp_path):
     assert (out / "verify.json").exists()
 
 
+def test_verify_json_is_strict_for_r_at_least_3(tmp_path):
+    cfg = write_config(tmp_path, BASE.replace("r = 2.0", "r = 3.0"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    with pytest.warns(UserWarning, match="r >= 3"):
+        code = main(["verify", "--config", cfg, "--out", str(out),
+                     "--u", str(out / "u.txt"), "--k", str(out / "k.txt")])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads((out / "verify.json").read_text(), parse_constant=reject)["report"]
+    assert report["stampacchia_rho"] is None and report["stampacchia_beta"] == 3.0
+    rows = dict(line.split(",")[:2] for line in (out / "verify.csv").read_text().splitlines())
+    assert rows["stampacchia_rho"] == ""
+
+
+def test_steep_table_kirchhoff_solve(tmp_path, capsys):
+    # a rises to 1e8 over 2e-5: the step of A between neighbouring floats s
+    # is near 1e-12 * A there, so an inverse that iterates to a tolerance on A can fail
+    model = """kind = table
+delta = 1.0
+table_s = 0 0.05 0.05002 1
+table_nu = 1 1 1 1
+table_a = 1 1 1e8 1
+"""
+    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", model)
+    text = text.replace("route = direct", "route = kirchhoff").replace("amplitude = 1.0", "amplitude = 50.0")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    [report] = json.loads((out / "report.json").read_text())["reports"]
+    assert report["converged"] and report["outer_iterations"] == 2
+
+
 def test_verify_zero_data(tmp_path):
     # a constant load takes no x0, y0 or sigma
     text = re.sub(r"x0 = .*\ny0 = .*\nsigma = .*\n", "", BASE).replace(
@@ -311,12 +347,16 @@ class TestConfigValidation:
         schema = readme_config()
         assert {name: set(schema[name]) for name in schema.sections()} == _KEYS
         # no one model kind takes every key: run the example as written (a
-        # table model), then its commented-out keys on the physical_sqrt kind
+        # table model), also on the kirchhoff route, then its commented-out
+        # keys on the physical_sqrt kind
         sqrt = readme_config()
         sqrt["model"]["kind"] = "physical_sqrt"
         for key in ("table_s", "table_nu", "table_a"):
             del sqrt["model"][key]
-        for name, config in (("table", readme_config(restore=False)), ("sqrt", sqrt)):
+        kirchhoff = readme_config(restore=False)
+        kirchhoff["solver"]["route"] = "kirchhoff"  # the table inverse runs on this route only
+        for name, config in (("table", readme_config(restore=False)), ("table-kirchhoff", kirchhoff),
+                             ("sqrt", sqrt)):
             out = tmp_path / name
             config["output"]["dir"] = str(out)
             with open(tmp_path / f"{name}.ini", "w") as fh:
@@ -437,10 +477,28 @@ def run_verify(tmp_path, u, k, *extra):
 
 
 class TestVerifyInput:
-    def test_level_zero_rejected(self, tmp_path):
+    def test_level_zero_rejected(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path)
-        assert run_verify(tmp_path, u, k) == 0
         assert run_verify(tmp_path, u, k, "--n", "0") == 2
+        assert "truncation level must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert run_verify(tmp_path, u, k) == 0
+
+    @pytest.mark.parametrize("dump, edit, message", [
+        ("k", lambda lines: lines[:3] + ["-1e-3" + lines[3][1:]] + lines[4:], "k < 0 in 1 of 289 cells"),
+        ("u", lambda lines: lines[:2] + ["1"] + lines[3:], "not enough values to unpack"),
+        ("u", lambda lines: ["9.5"] + lines[1:], "invalid literal for int() with base 10: '9.5'"),
+        ("u", lambda lines: lines[:2] + ["nan 1"] + lines[3:], "positive and finite"),
+        ("k", lambda lines: lines[:-3], "expected 17 rows of 17"),
+    ], ids=["negative-k", "lx-without-ly", "fractional-nx", "nan-edge", "rows-cut-off"])
+    def test_bad_dump_named_before_output(self, tmp_path, capsys, dump, edit, message):
+        dumps = dict(zip("uk", write_zero_dumps(tmp_path)))
+        path = Path(dumps[dump])
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert run_verify(tmp_path, dumps["u"], dumps["k"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_dump_with_rows_cut_off(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path, cut_rows=3)

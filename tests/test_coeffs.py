@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from turbsolve import (
     make_grid,
     solve_u_given_k,
 )
-from turbsolve.coeffs import A_INV_TOL, truncated_coefficients
+from turbsolve.coeffs import A_INV_TOL, _table_segments, truncated_coefficients
 
 SQRT_MODEL = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=2.0, a1=1.0, a2=1.0, delta=1.0)
 UNIT_SQRT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0, delta=1.0)
@@ -196,6 +197,45 @@ class TestKirchhoffTransform:
         assert np.all(np.diff(A) > 0)
 
 
+STEEP_TABLE = ViscosityModel(kind="table", delta=1.0, table_s=(0.0, 0.05, 0.05002, 1.0),
+                             table_nu=(1.0, 1.0, 1.0, 1.0), table_a=(1.0, 1.0, 1e8, 1.0))
+
+
+def random_tables(rng, count):
+    """Tables of 2 to 6 nodes with a between 1 and 1e8 at each, so segments
+    rise and fall by up to 1e8; every other one proportional (gamma set)."""
+    for i in range(count):
+        size = int(rng.integers(2, 7))
+        s = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-5.0, 1.0, size - 1))))
+        a = 10.0 ** rng.uniform(0.0, 8.0, size)
+        if i % 2:
+            yield ViscosityModel(kind="table", delta=1.0, table_s=tuple(s), table_nu=tuple(a),
+                                 table_a=tuple(a))
+        else:
+            yield ViscosityModel(kind="table", delta=0.5, table_s=tuple(s), table_nu=tuple(a),
+                                 gamma=float(rng.uniform(0.5, 3.0)))
+
+
+def exact_A(m, S, x):
+    """A(x) in exact arithmetic on the segment table's piece that holds S (extended past it)."""
+    nodes, vals, slope, cum = _table_segments(m)
+    if S >= cum[-1]:
+        return Fraction(cum[-1]) + Fraction(vals[-1]) * (Fraction(x) - Fraction(nodes[-1]))
+    i = int(np.searchsorted(cum, S, side="right")) - 1
+    t = Fraction(x) - Fraction(nodes[i])
+    return Fraction(cum[i]) + Fraction(vals[i]) * t + Fraction(slope[i]) * t * t / 2
+
+
+def assert_exact_root(m, S, s, steps, rel):
+    """s lies within ``steps`` float steps of the exact root of A(s) = S', for
+    some S' within ``rel * S`` of S."""
+    lo = hi = s
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    target, slack = Fraction(S), Fraction(rel) * Fraction(S)
+    assert exact_A(m, S, lo) <= target + slack and exact_A(m, S, hi) >= target - slack, (S, s)
+
+
 class TestTableModel:
     def make(self, gamma=None):
         kwargs = dict(
@@ -246,3 +286,55 @@ class TestTableModel:
     def test_ratio_floor_at_nodes(self):
         m = self.make()
         assert m.h1_ratio_inf() == pytest.approx(2.0)
+
+    # -- the closed-form inverse ------------------------------------------
+
+    def test_steep_segment_inverts(self):
+        # a rises from 1 to 1e8 over 2e-5: a(s) * ulp(s), the least step of A
+        # between floats, is near 1e-12 * S there, so a tolerance on A can fail
+        m = STEEP_TABLE
+        *_, cum = _table_segments(m)
+        S = np.linspace(cum[1], cum[2], 2001)
+        s = kirchhoff_A_inv(m, S)
+        assert np.all((0.05 <= s) & (s <= 0.05002))
+        for target, root in zip(S, s):
+            assert_exact_root(m, target, root, steps=1, rel=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inverse_is_the_exact_root_to_rounding(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in random_tables(rng, 12):
+            *_, cum = _table_segments(m)
+            # random targets, the node integrals and the last floats below each of them
+            S = np.concatenate((rng.uniform(0.0, 1.5 * cum[-1], 20), cum,
+                                *(np.nextafter(c, 0.0) - np.spacing(c) * np.arange(4) for c in cum[1:])))
+            s = kirchhoff_A_inv(m, S)
+            assert np.all(s <= S / m.delta)
+            for target, root in zip(S, s):
+                assert_exact_root(m, target, root, steps=2, rel=2.0**-51)
+
+    @pytest.mark.parametrize("gamma", [None, 2.0])
+    def test_nodes_zero_and_tail(self, gamma):
+        for m in (self.make(gamma), STEEP_TABLE):
+            nodes, vals, _, cum = _table_segments(m)
+            assert kirchhoff_A_inv(m, 0.0) == 0.0
+            assert np.array_equal(kirchhoff_A_inv(m, cum), nodes)
+            # beyond the last node A is linear with slope a(last node)
+            S = cum[-1] + vals[-1] * np.array([0.5, 3.0, 1e6])
+            s = kirchhoff_A_inv(m, S)
+            assert np.all(s > nodes[-1])
+            for target, root in zip(S, s):
+                assert_exact_root(m, target, root, steps=1, rel=0)
+            assert np.allclose(kirchhoff_A(m, s), S, rtol=1e-15)
+
+    @pytest.mark.parametrize("m", [
+        ViscosityModel(kind="table", delta=0.5, table_s=(0.0, 1.0), table_nu=(1.0, 0.5), table_a=(1.0, 0.5)),
+        ViscosityModel(kind="constant", nu1=0.5, a1=0.5, delta=0.5),
+    ], ids=["table", "constant"])
+    @pytest.mark.parametrize("S", [np.finfo(float).max, np.array([1.0, np.finfo(float).max])],
+                             ids=["scalar", "array"])
+    def test_overflowing_inverse_raises(self, m, S):
+        # the suite turns warnings into errors, so this also checks that no overflow warning escapes
+        with pytest.raises(ValueError, match="not a finite float"):
+            kirchhoff_A_inv(m, S)
+
