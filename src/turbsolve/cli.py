@@ -166,7 +166,9 @@ def load_config(path) -> RunConfig:
     route = sec["solver"].get("route", "direct")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    n_list = [int(t) for t in sec["sweep"].get("n_list", "8").split()]
+    n_list = [8]
+    if "n_list" in sec["sweep"]:
+        n_list = _parse(sec["sweep"], "n_list", lambda text: [int(t) for t in text.split()])
     if not n_list:
         raise ValueError("[sweep] n_list names no level")
 
@@ -175,7 +177,7 @@ def load_config(path) -> RunConfig:
         model=model,
         source=source,
         n_list=n_list,
-        solve_n=int(sec["solver"].get("n", n_list[-1])),
+        solve_n=_parse(sec["solver"], "n", int) if "n" in sec["solver"] else n_list[-1],
         picard=picard,
         route=route,
         out_dir=sec["output"].get("dir"),
@@ -351,8 +353,10 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
 
 
 def run_mms(cfg: RunConfig, out: Path, sizes) -> int:
-    if cfg.model.nu2 != 0.0:
-        raise ValueError("the manufactured-solution check needs a constant model")
+    # the check runs a constant model built from nu1
+    if cfg.model.kind == "table" or cfg.model.nu2 != 0.0:
+        raise ValueError("the manufactured-solution check needs nu constant at nu1: "
+                         "a table model or a nonzero nu2 is rejected")
     out.mkdir(parents=True, exist_ok=True)
     rows = manufactured_errors(sizes, nu0=cfg.model.nu1, cfg=cfg.picard)
     table = []

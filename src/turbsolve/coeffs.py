@@ -178,7 +178,8 @@ def truncated_coefficients(m: ViscosityModel, s, n: int):
     nu_n = min(n, nu(s)); a_n = gamma * nu_n for proportional pairs and
     min(n, a(s)) otherwise.  ``clipped`` says whether either cap bound
     anywhere.  Every solver route and every certified estimate evaluates
-    the truncated coefficients through here.
+    the truncated coefficients through here, so a negative cell of s
+    raises ValueError before any route solves anything.
     """
     nu_raw = m.nu(s)
     nu_n = np.minimum(float(n), nu_raw)

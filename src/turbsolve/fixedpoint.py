@@ -24,13 +24,15 @@ just to O(h^2)):
 The verification module and the cross-route checks rely on both.
 
 Existence theory for the truncated pair is non-constructive, so the
-solver is a damped Picard iteration with lagged coefficients: its fixed
-points are exactly the discrete solutions.  Its inner solves are inexact
-in the sense of inexact Newton methods (Dembo, Eisenstat & Steihaug 1982;
-Eisenstat & Walker 1996): an iterate that the next outer iteration will
-overwrite is solved only to a tenth of the predicted next increment, and
-convergence is certified only by an iteration whose inner solves all met
-the full inner tolerance.  Three k-updates are offered:
+solver is a Picard iteration with lagged coefficients: its fixed points
+are exactly the discrete solutions.  A level takes the full k-update
+until the increment first grows, then half of it for the rest of the
+level.  The inner solves are inexact in the sense of inexact Newton
+methods (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996): an
+iterate that the next outer iteration will overwrite is solved only to a
+tenth of the predicted next increment, and convergence is certified only
+by an iteration whose inner solves all met the full inner tolerance.
+Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
 (solve -Lap K = source with K = A(k) from zero, which the exact Poisson
 preconditioner finishes in one CG iteration, then map back through
@@ -66,18 +68,14 @@ FORCING = 0.1
 class PicardConfig:
     """Outer-iteration controls.
 
-    damping applies to the k-update only: k <- (1-w) k_prev + w k_new.
-    With damping 1.0 the iteration falls back to 0.5 for the rest of the
-    solve the first time the increment grows.  Without a warm start k
-    begins at the constant init_k_value.  inner_tol is the relative
-    residual of the certifying inner solves: those of the first two outer
-    iterations, of the one that converges and of the final u re-solve;
-    the others stop earlier (see ``_picard``).
+    Without a warm start k begins at the constant init_k_value.
+    inner_tol is the relative residual of the certifying inner solves:
+    those of the first two outer iterations, of the one that converges and
+    of the final u re-solve; the others stop earlier (see ``_picard``).
     """
 
     tol: float = 1e-10
     max_outer: int = 200
-    damping: float = 1.0
     init_k_value: float = 0.0
     inner_tol: float = INNER_TOL
 
@@ -85,8 +83,6 @@ class PicardConfig:
         # each check is written to fail on NaN as well
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if not self.init_k_value >= 0:
@@ -156,11 +152,6 @@ def _clamp(values: np.ndarray):
     return (np.where(negative, 0.0, values) if count else values), count
 
 
-def _nonnegative(field: ScalarField, name: str):
-    if np.any(field.values < 0):
-        raise ValueError(f"{name} must be nonnegative cellwise")
-
-
 def solve_u_given_k(
     k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL,
     u0: Optional[ScalarField] = None, loose_tol: Optional[float] = None,
@@ -172,7 +163,6 @@ def solve_u_given_k(
     :func:`~turbsolve.linsolve.solve_spd`.
     """
     n = _check_level(n)
-    _nonnegative(k, "k")
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
     op = assemble(ScalarField(k.grid, nu_n))
     return solve_spd(op, f, tol=inner_tol, x0=u0, loose_tol=loose_tol)
@@ -189,7 +179,6 @@ def solve_k_given_u(
     nonnegative source, so any clamp is a scheme anomaly and is counted.
     """
     n = _check_level(n)
-    _nonnegative(k_lag, "k_lag")
     nu_n, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField(u.grid, a_n))
@@ -213,7 +202,6 @@ def kirchhoff_k_solve(
     iteration, certified against the recomputed residual like any other.
     """
     n = _check_level(n)
-    _nonnegative(k_lag, "k_lag")
     g = u.grid
     nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
@@ -243,7 +231,6 @@ def _chi_k_step(
 def _initial_state(grid: Grid, cfg: PicardConfig, u0, k0):
     u = u0.copy() if u0 is not None else ScalarField.zeros(grid)
     k = k0.copy() if k0 is not None else ScalarField.full(grid, cfg.init_k_value)
-    _nonnegative(k, "initial k")
     return u, k
 
 
@@ -277,7 +264,7 @@ def _ratio(a: float, b: float) -> float:
 
 
 def _picard(m, n, f, cfg, u0, k0, k_step):
-    """Damped Picard iteration alternating the u-solve and ``k_step``.
+    """Picard iteration alternating the u-solve and ``k_step``.
 
     Stops when max(|du|_inf, |dk|_inf) <= tol in an iteration whose inner
     solves all certified ``cfg.inner_tol``.  The inner solves of the other
@@ -286,16 +273,16 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     FORCING * min(1, rho) * min(1, rel), rel the last relative increment
     max(|du|/|u|, |dk|/|k|), a tenth of the predicted next one (never below
     inner_tol).  So the first two iterations run to inner_tol, and so does
-    the one after a small increment that a loose solve produced.  With
-    damping 1.0 the iteration falls back to 0.5 for the rest of the solve
-    the first time the increment grows.  On convergence u is re-solved once
-    at the final k, so the pair satisfies the u-equation to inner-solve
-    accuracy.  Every inner solve starts from the current iterate, so one
-    whose start already meets inner_tol costs a single matvec and no CG
-    iteration.  Returns (u, k, report, last KStep).
+    the one after a small increment that a loose solve produced.  The
+    k-update is k <- (1-w) k_prev + w k_new with w = 1 until the increment
+    first grows and w = 0.5 for the rest of the level.  On convergence u
+    is re-solved once at the final k, so the pair satisfies the u-equation
+    to inner-solve accuracy.  Every inner solve starts from the current
+    iterate, so one whose start already meets inner_tol costs a single
+    matvec and no CG iteration.  Returns (u, k, report, last KStep).
     """
     u, k = _initial_state(f.grid, cfg, u0, k0)
-    omega = cfg.damping
+    omega = 1.0
     clamp_total = 0
     increment = float("inf")
     prev_increment = float("inf")
@@ -317,7 +304,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         if increment <= cfg.tol and certified:
             converged = True
             break
-        if increment > prev_increment and omega == 1.0:
+        if increment > prev_increment:
             omega = 0.5
         # after the first iteration prev_increment is inf, so rho = 0 keeps the second tight
         rho = _ratio(increment, prev_increment)

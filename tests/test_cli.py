@@ -294,6 +294,17 @@ def test_mms_subcommand(tmp_path):
     assert all(r >= 3.5 for r in ratios)
 
 
+def test_mms_rejects_a_table_model(tmp_path, capsys):
+    # the check runs a constant model built from nu1, not the table's nu
+    model = "kind = table\ndelta = 1.0\ntable_s = 0 1\ntable_nu = 3 9\ntable_a = 3 9\n"
+    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", model)
+    out = tmp_path / "out"
+    assert main(["mms", "--config", write_config(tmp_path, text), "--out", str(out),
+                 "--sizes", "9", "17"]) == 2
+    assert "error: the manufactured-solution check needs nu constant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfigValidation:
     def test_small_r_names_h0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE.replace("r = 2.0", "r = 1.2"))
@@ -337,6 +348,25 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: unknown key '{key}' in [{section}]" in capsys.readouterr().err
+
+    def test_damping_is_not_a_setting(self, tmp_path, capsys):
+        assert _KEYS["solver"] == {"tol", "max_outer", "init_k_value", "inner_tol", "route", "n"}
+        cfg = write_config(tmp_path, BASE.replace("[solver]\n", "[solver]\ndamping = 1.0\n"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: unknown key 'damping' in [solver]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sweep", "n_list", "1 x"),
+        ("solver", "n", "four"),
+    ])
+    def test_unparsable_level_names_its_key(self, tmp_path, capsys, section, key, value):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, with_setting(BASE, section, key, value))
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE.replace("[solver]", "[solvr]"))

@@ -101,11 +101,13 @@ class TestUSolve:
         err = linf_norm(ScalarField(g, u.values - manufactured_solution(g).values))
         assert err <= 1e-3
 
-    def test_rejects_negative_k(self):
+    def test_rejects_negative_k(self, monkeypatch):
         g = make_grid(4, 4, 1.0, 1.0)
         k = ScalarField(g, np.full(g.shape, -0.1))
+        solves = count_calls(monkeypatch, fixedpoint.solve_spd)
         with pytest.raises(ValueError):
             solve_u_given_k(k, HP_UNIT, 4, ScalarField.zeros(g))
+        assert not solves
 
     def test_swap_symmetry(self):
         g = make_grid(17, 17, 1.0, 1.0)
@@ -187,6 +189,49 @@ class TestPicard:
         assert not report.converged
         assert report.outer_iterations == 1
         assert report.final_increment > 1e-14
+
+
+class TestNegativeK:
+    # the model's coefficient evaluation is the only k >= 0 check on every route
+    @pytest.mark.parametrize("call", [
+        lambda u, k, f: solve_k_given_u(u, k, HP_UNIT, 4),
+        lambda u, k, f: kirchhoff_k_solve(u, k, HP_UNIT, 4),
+        lambda u, k, f: picard_solve(HP_UNIT, 4, f, PicardConfig(), k0=k),
+        lambda u, k, f: chi_decoupled_solve(HP_UNIT, 4, f, PicardConfig(), k0=k),
+    ], ids=["solve_k_given_u", "kirchhoff_k_solve", "picard_solve", "chi_decoupled_solve"])
+    def test_raises_before_any_solve(self, monkeypatch, call):
+        g = make_grid(8, 8, 1.0, 1.0)
+        f = gaussian_source(g)
+        u, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 4, f)
+        k = ScalarField.full(g, 0.5)
+        k.values[3, 4] = -1e-3
+        solves = count_calls(monkeypatch, fixedpoint.solve_spd)
+        with pytest.raises(ValueError, match="s >= 0"):
+            call(u, k, f)
+        assert not solves
+
+
+class TestRelaxationFallback:
+    """The k-update relaxation drops from 1 to 0.5 the first time the increment grows.
+
+    Without that drop the first case takes 60 outer iterations and the second 14.
+    """
+
+    def test_rescues_a_cold_chi_solve(self):
+        g = make_grid(33, 33, 1.0, 1.0)
+        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=2.0, a2=2.0,
+                           gamma=2.0, delta=1.0)
+        f = gaussian_source(g, amplitude=1e4, sigma=0.03, centre=(0.47, 0.53))
+        _, _, _, report = chi_decoupled_solve(m, 4, f, PicardConfig())
+        assert report.converged
+        assert report.outer_iterations <= 45  # 35
+
+    def test_fires_on_a_warm_sweep_level(self):
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=1e4, sigma=0.1)
+        entries = n_sweep(HP_UNIT, f, [4, 16], PicardConfig())
+        assert all(e.report.converged for e in entries)
+        assert entries[1].report.outer_iterations >= 21  # 28
 
 
 class TestChiRoute:
