@@ -30,7 +30,7 @@ from .coeffs import HypothesisViolation, ViscosityModel
 from .fixedpoint import ROUTES, PicardConfig, SolveReport, SweepEntry, check_levels, n_sweep
 from .grid import Grid, ScalarField, make_grid
 from .linsolve import LinearSolveError
-from .verify import InvariantReport, full_report, manufactured_errors
+from .verify import InvariantReport, full_report, manufactured_errors, manufactured_forcing
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -114,8 +114,6 @@ class RunConfig:
             X, Y = g.cell_centers()
             r2 = (X - x0) ** 2 + (Y - y0) ** 2
             return ScalarField(g, s.amplitude * np.exp(-r2 / (2.0 * sigma**2)))
-        from .verify import manufactured_forcing
-
         return manufactured_forcing(g, self.model.nu1)
 
 
@@ -357,8 +355,14 @@ def run_mms(cfg: RunConfig, out: Path, sizes) -> int:
     if cfg.model.kind == "table" or cfg.model.nu2 != 0.0:
         raise ValueError("the manufactured-solution check needs nu constant at nu1: "
                          "a table model or a nonzero nu2 is rejected")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = manufactured_errors(sizes, nu0=cfg.model.nu1, cfg=cfg.picard)
+    try:
+        rows = manufactured_errors(sizes, nu0=cfg.model.nu1, cfg=cfg.picard)
+    except LinearSolveError:
+        raise  # reported by main
+    except RuntimeError as exc:  # a run that did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    out.mkdir(parents=True, exist_ok=True)  # only once every run converged
     table = []
     prev_err = None
     for size, h, err in rows:

@@ -166,8 +166,12 @@ class ViscosityModel:
 
 
 def _check_level(n) -> int:
-    level = int(n)
-    if level != n or level < 1:
+    """n as an int; ValueError unless n is a positive integer (a bool, inf or NaN is not)."""
+    try:
+        level = int(n)
+    except (OverflowError, ValueError):  # inf, NaN
+        level = 0
+    if isinstance(n, (bool, np.bool_)) or level != n or level < 1:
         raise ValueError(f"truncation level must be a positive integer, got {n!r}")
     return level
 
@@ -178,9 +182,11 @@ def truncated_coefficients(m: ViscosityModel, s, n: int):
     nu_n = min(n, nu(s)); a_n = gamma * nu_n for proportional pairs and
     min(n, a(s)) otherwise.  ``clipped`` says whether either cap bound
     anywhere.  Every solver route and every certified estimate evaluates
-    the truncated coefficients through here, so a negative cell of s
-    raises ValueError before any route solves anything.
+    the truncated coefficients through here, so a level that is not a
+    positive integer and a negative cell of s each raise ValueError before
+    any route solves anything.
     """
+    n = _check_level(n)
     nu_raw = m.nu(s)
     nu_n = np.minimum(float(n), nu_raw)
     clipped = bool(np.any(nu_raw > n))

@@ -54,7 +54,7 @@ from .coeffs import (
     kirchhoff_A_inv,
     truncated_coefficients,
 )
-from .grid import Grid, ScalarField, linf_norm, weighted_energy
+from .grid import ScalarField, linf_norm, weighted_energy
 from .linsolve import INNER_TOL, LinearSolveReport, assemble, solve_spd
 
 ROUTES = ("direct", "kirchhoff", "chi")
@@ -68,15 +68,14 @@ FORCING = 0.1
 class PicardConfig:
     """Outer-iteration controls.
 
-    Without a warm start k begins at the constant init_k_value.
-    inner_tol is the relative residual of the certifying inner solves:
-    those of the first two outer iterations, of the one that converges and
-    of the final u re-solve; the others stop earlier (see ``_picard``).
+    Without a warm start u and k begin at zero.  inner_tol is the
+    relative residual of the certifying inner solves: those of the first
+    two outer iterations, of the one that converges and of the final u
+    re-solve; the others stop earlier (see ``_picard``).
     """
 
     tol: float = 1e-10
     max_outer: int = 200
-    init_k_value: float = 0.0
     inner_tol: float = INNER_TOL
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class PicardConfig:
             raise ValueError("tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if not self.init_k_value >= 0:
-            raise ValueError("init_k_value must be nonnegative")
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
 
@@ -162,7 +159,6 @@ def solve_u_given_k(
     ``inner_tol`` and ``loose_tol`` are the tol and loose_tol of
     :func:`~turbsolve.linsolve.solve_spd`.
     """
-    n = _check_level(n)
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
     op = assemble(ScalarField(k.grid, nu_n))
     return solve_spd(op, f, tol=inner_tol, x0=u0, loose_tol=loose_tol)
@@ -178,7 +174,6 @@ def solve_k_given_u(
     zero; the monotone operator makes negative cells impossible for this
     nonnegative source, so any clamp is a scheme anomaly and is counted.
     """
-    n = _check_level(n)
     nu_n, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField(u.grid, a_n))
@@ -201,7 +196,6 @@ def kirchhoff_k_solve(
     the exact inverse of this operator, so the solve ends after one
     iteration, certified against the recomputed residual like any other.
     """
-    n = _check_level(n)
     g = u.grid
     nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
@@ -226,12 +220,6 @@ def _chi_k_step(
                             x0=ScalarField(u.grid, k_lag.values + half_u2), loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(chi.values - half_u2)
     return KStep(ScalarField(u.grid, k_vals), clamp_count, report, chi)
-
-
-def _initial_state(grid: Grid, cfg: PicardConfig, u0, k0):
-    u = u0.copy() if u0 is not None else ScalarField.zeros(grid)
-    k = k0.copy() if k0 is not None else ScalarField.full(grid, cfg.init_k_value)
-    return u, k
 
 
 def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
@@ -281,7 +269,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     iterate, so one whose start already meets inner_tol costs a single
     matvec and no CG iteration.  Returns (u, k, report, last KStep).
     """
-    u, k = _initial_state(f.grid, cfg, u0, k0)
+    u = u0.copy() if u0 is not None else ScalarField.zeros(f.grid)
+    k = k0.copy() if k0 is not None else ScalarField.zeros(f.grid)
     omega = 1.0
     clamp_total = 0
     increment = float("inf")
@@ -335,7 +324,7 @@ def picard_solve(
     not raised: the report carries the iteration count and last
     increment; linear-solve failures propagate as exceptions.
     """
-    n = _check_level(n)
+    n = _check_level(n)  # an int level for the report
     if k_update not in ("direct", "kirchhoff"):
         raise ValueError(f"unknown k_update {k_update!r}")
     step = solve_k_given_u if k_update == "direct" else kirchhoff_k_solve
@@ -360,7 +349,7 @@ def chi_decoupled_solve(
     As on the other routes, u is re-solved at the final k on
     convergence; the returned chi is the last iterate's.
     """
-    n = _check_level(n)
+    n = _check_level(n)  # an int level for the report
     if m.gamma is None:
         raise HypothesisViolation("H2", "the chi route needs a proportional pair (gamma set)")
     u, k, report, kstep = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f))

@@ -35,7 +35,6 @@ INNER_TOL = 1e-12
 class LinearSolveReport:
     iterations: int
     relative_residual: float
-    converged: bool
 
 
 class LinearSolveError(RuntimeError):
@@ -160,7 +159,7 @@ def solve_spd(
     rhs = b.values
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return ScalarField.zeros(g), LinearSolveReport(0, 0.0, True)
+        return ScalarField.zeros(g), LinearSolveReport(0, 0.0)
 
     stop = tol if loose_tol is None else max(tol, loose_tol)
     M = poisson_inverse(g)
@@ -173,7 +172,7 @@ def solve_spd(
         r = np.subtract(rhs, A.apply(x, out=tmp))
     res = float(np.linalg.norm(r)) / bnorm
     if res <= tol:
-        return ScalarField(g, x), LinearSolveReport(0, res, True)
+        return ScalarField(g, x), LinearSolveReport(0, res)
     z = M.apply(r, np.empty(g.shape), tmp)
     p = z.copy()
     rz = float(np.vdot(r, z))
@@ -186,7 +185,7 @@ def solve_spd(
         if pAp <= 0.0:
             raise LinearSolveError(
                 "conjugate gradients broke down (operator not positive definite?)",
-                LinearSolveReport(iterations, res, False),
+                LinearSolveReport(iterations, res),
             )
         alpha = rz / pAp
         x += np.multiply(p, alpha, out=tmp)
@@ -198,7 +197,7 @@ def solve_spd(
             np.subtract(rhs, A.apply(x, out=tmp), out=tmp)
             res_true = float(np.linalg.norm(tmp)) / bnorm
             if res_true <= stop:
-                return ScalarField(g, x), LinearSolveReport(iterations, res_true, True)
+                return ScalarField(g, x), LinearSolveReport(iterations, res_true)
             r, tmp = tmp, r
             res = res_true
             M.apply(r, z, tmp)
@@ -215,5 +214,5 @@ def solve_spd(
     raise LinearSolveError(
         f"conjugate gradients did not reach {stop:g} in {max_iter} iterations "
         f"(relative residual {res:g})",
-        LinearSolveReport(iterations, res, False),
+        LinearSolveReport(iterations, res),
     )

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .coeffs import ViscosityModel, _check_level, truncated_coefficients
+from .coeffs import ViscosityModel, truncated_coefficients
 from .fixedpoint import PicardConfig, picard_solve
 from .grid import (
     Grid,
@@ -42,6 +42,8 @@ from .grid import (
 )
 
 ABS_FLOOR = 1e-14
+_FLUX_EXPONENT = 1.4  # the p < 3/2 at which full_report measures the flux bound
+_PROFILE_POINTS = 50  # level-set thresholds from 0 to just above sup |u|
 
 
 def _certifies(estimate: str, **kwargs):
@@ -84,7 +86,6 @@ def energy_identity_residual(
     u: ScalarField, k: ScalarField, f: ScalarField, m: ViscosityModel, n: int
 ) -> float:
     """|E - sum f u m| / max(|sum f u m|, 1e-14) with E the face energy."""
-    n = _check_level(n)
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
     E = weighted_energy(ScalarField(k.grid, nu_n), u)
     load = integrate(ScalarField(u.grid, f.values * u.values))
@@ -128,7 +129,6 @@ def idee_residual(
     with u*phi, so converged runs drive it to the solver tolerance.  Each
     defect is scaled by max(1, E * |phi|_inf).
     """
-    n = _check_level(n)
     if test_set is None:
         test_set = default_test_fields(u.grid)
     g = u.grid
@@ -193,7 +193,6 @@ def sqrt_nu_seminorm(k: ScalarField, m: ViscosityModel, n: int) -> float:
     walls, a nonzero constant, so the Dirichlet mirror would manufacture
     spurious gradients there.  Constant fields give exactly zero.
     """
-    n = _check_level(n)
     g = k.grid
     root = np.sqrt(truncated_coefficients(m, k.values, n)[0])
     gx = (root[1:, :] - root[:-1, :]) / g.hx
@@ -252,7 +251,6 @@ def lp_flux_norm(k: ScalarField, m: ViscosityModel, n: int, p: float) -> float:
     """
     if not 1.0 <= p < 1.5:
         raise ValueError(f"the flux exponent must lie in [1, 3/2), got p = {p}")
-    n = _check_level(n)
     g = k.grid
     _, a_n, _ = truncated_coefficients(m, k.values, n)
     cfx, cfy = face_average(a_n)
@@ -270,19 +268,14 @@ def full_report(
     f: ScalarField,
     m: ViscosityModel,
     n: int,
-    p: float = 1.4,
     r: float = 2.0,
-    s_points: int = 50,
 ) -> InvariantReport:
-    """Populate every certified estimate for one converged pair."""
-    if p >= 1.5:
-        raise ValueError(f"the flux exponent must stay below 3/2, got p = {p}")
-    n = _check_level(n)
+    """Populate every certified estimate for one converged pair, for a load in L^r."""
     nu_n, a_n, _ = truncated_coefficients(m, k.values, n)
     linf_u = linf_norm(u)
     s_top = linf_u * (1.0 + 1e-12)
     if s_top > 0:
-        s_list = np.linspace(0.0, s_top, s_points)
+        s_list = np.linspace(0.0, s_top, _PROFILE_POINTS)
     else:
         s_list = np.array([0.0])
     rho, beta = stampacchia_exponents(r)
@@ -290,8 +283,8 @@ def full_report(
     return InvariantReport(
         energy=weighted_energy(ScalarField(k.grid, nu_n), u),
         dissipation=weighted_energy(ScalarField(k.grid, a_n), k),
-        lp_a_gradk=lp_flux_norm(k, m, n, p),
-        lp_exponent=p,
+        lp_a_gradk=lp_flux_norm(k, m, n, _FLUX_EXPONENT),
+        lp_exponent=_FLUX_EXPONENT,
         linf_u=linf_u,
         linf_k=linf_norm(k),
         energy_identity_rel_residual=energy_identity_residual(u, k, f, m, n),

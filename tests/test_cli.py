@@ -294,6 +294,16 @@ def test_mms_subcommand(tmp_path):
     assert all(r >= 3.5 for r in ratios)
 
 
+def test_mms_run_that_does_not_converge(tmp_path, capsys):
+    text = BASE.replace("kind = physical_sqrt", "kind = constant").replace(
+        "nu2 = 1.0", "nu2 = 0.0").replace("a2 = 1.0", "a2 = 0.0").replace("= 200", "= 1")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", write_config(tmp_path, text), "--out", str(out),
+                 "--sizes", "9", "17"]) == 1
+    assert capsys.readouterr().err == "error: manufactured run failed to converge on 9x9\n"
+    assert not out.exists()
+
+
 def test_mms_rejects_a_table_model(tmp_path, capsys):
     # the check runs a constant model built from nu1, not the table's nu
     model = "kind = table\ndelta = 1.0\ntable_s = 0 1\ntable_nu = 3 9\ntable_a = 3 9\n"
@@ -349,12 +359,13 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: unknown key '{key}' in [{section}]" in capsys.readouterr().err
 
-    def test_damping_is_not_a_setting(self, tmp_path, capsys):
-        assert _KEYS["solver"] == {"tol", "max_outer", "init_k_value", "inner_tol", "route", "n"}
-        cfg = write_config(tmp_path, BASE.replace("[solver]\n", "[solver]\ndamping = 1.0\n"))
+    @pytest.mark.parametrize("key, value", [("damping", "1.0"), ("init_k_value", "0.0")])
+    def test_removed_setting_rejected(self, tmp_path, capsys, key, value):
+        assert _KEYS["solver"] == {"tol", "max_outer", "inner_tol", "route", "n"}
+        cfg = write_config(tmp_path, BASE.replace("[solver]\n", f"[solver]\n{key} = {value}\n"))
         out = tmp_path / "o"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
-        assert "config error: unknown key 'damping' in [solver]" in capsys.readouterr().err
+        assert f"config error: unknown key '{key}' in [solver]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
@@ -373,9 +384,14 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: unknown section [solvr]" in capsys.readouterr().err
 
-    def test_every_documented_key_accepted(self, tmp_path):
+    def test_readme_names_every_key(self):
+        # the README's INI block, its commented-out keys included, is the schema
         schema = readme_config()
-        assert {name: set(schema[name]) for name in schema.sections()} == _KEYS
+        assert set(schema.sections()) == set(_KEYS)
+        for name, keys in _KEYS.items():
+            assert set(schema[name]) == keys, f"[{name}]"
+
+    def test_every_documented_key_accepted(self, tmp_path):
         # no one model kind takes every key: run the example as written (a
         # table model), also on the kirchhoff route, then its commented-out
         # keys on the physical_sqrt kind
@@ -447,7 +463,6 @@ class TestConfigNumbers:
         ("solver", "inner_tol", "nan"),
         ("solver", "inner_tol", "0"),
         ("solver", "inner_tol", "-1e-12"),
-        ("solver", "init_k_value", "-1"),
     ])
     def test_rejected_before_output(self, tmp_path, capsys, section, key, value):
         # without gamma, so that nu1 = nan is not caught by the a1 = gamma * nu1 check
@@ -471,7 +486,7 @@ class TestConfigNumbers:
 class TestConfigEcho:
     @pytest.mark.parametrize("text", [
         re.sub(r"kind = physical_sqrt\n[^\[]*", TABLE_MODEL + "\n", BASE),
-        BASE.replace("route = direct\n", "route = direct\ninner_tol = 1e-11\ninit_k_value = 0.25\n"),
+        BASE.replace("route = direct\n", "route = direct\ninner_tol = 1e-11\n").replace("= 200", "= 50"),
     ], ids=["table-without-gamma", "sqrt-with-gamma-and-solver-settings"])
     def test_echo_rebuilds_the_config(self, tmp_path, text):
         cfg = load_config(write_config(tmp_path, text))

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from turbsolve import (
     HypothesisViolation,
-    ScalarField,
     ViscosityModel,
     kirchhoff_A,
     kirchhoff_A_inv,
-    make_grid,
-    solve_u_given_k,
 )
 from turbsolve.coeffs import A_INV_TOL, _table_segments, truncated_coefficients
 
@@ -98,12 +95,6 @@ class TestTruncate:
         nu_n, a_n, clipped = truncated_coefficients(m, 0.0, n)
         assert nu_n == a_n == expected
         assert clipped == (t > n)
-
-    def test_rejects_bad_level(self):
-        g = make_grid(4, 4, 1.0, 1.0)
-        for level in (0, 2.5):
-            with pytest.raises(ValueError):
-                solve_u_given_k(ScalarField.zeros(g), SQRT_MODEL, level, ScalarField.full(g, 1.0))
 
     @given(st.floats(0.0, 1e6), st.integers(1, 1000))
     def test_bounded_by_both(self, s, n):

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -14,13 +15,17 @@ from turbsolve import (
     chi_decoupled_solve,
     dissipation_source,
     energy_identity_residual,
+    full_report,
+    idee_residual,
     kirchhoff_k_solve,
     linf_norm,
+    lp_flux_norm,
     make_grid,
     n_sweep,
     picard_solve,
     solve_k_given_u,
     solve_u_given_k,
+    sqrt_nu_seminorm,
 )
 from turbsolve import coeffs, fixedpoint
 from turbsolve.linsolve import INNER_TOL
@@ -162,9 +167,7 @@ class TestPicard:
         f = gaussian_source(g)
         tol = 1e-11
         u1, k1, r1 = picard_solve(HP_UNIT, 16, f, PicardConfig(tol=tol))
-        u2, k2, r2 = picard_solve(
-            HP_UNIT, 16, f, PicardConfig(tol=tol, init_k_value=0.5)
-        )
+        u2, k2, r2 = picard_solve(HP_UNIT, 16, f, PicardConfig(tol=tol), k0=ScalarField.full(g, 0.5))
         assert r1.converged and r2.converged
         assert np.max(np.abs(u1.values - u2.values)) <= 10 * tol
         assert np.max(np.abs(k1.values - k2.values)) <= 10 * tol
@@ -208,6 +211,35 @@ class TestNegativeK:
         solves = count_calls(monkeypatch, fixedpoint.solve_spd)
         with pytest.raises(ValueError, match="s >= 0"):
             call(u, k, f)
+        assert not solves
+
+
+class TestBadLevel:
+    # truncated_coefficients is the one level check on every path that takes a level
+    @pytest.mark.parametrize("call", [
+        lambda u, k, f, n: solve_u_given_k(k, HP_UNIT, n, f),
+        lambda u, k, f, n: solve_k_given_u(u, k, HP_UNIT, n),
+        lambda u, k, f, n: kirchhoff_k_solve(u, k, HP_UNIT, n),
+        lambda u, k, f, n: picard_solve(HP_UNIT, n, f, PicardConfig()),
+        lambda u, k, f, n: chi_decoupled_solve(HP_UNIT, n, f, PicardConfig()),
+        lambda u, k, f, n: n_sweep(HP_UNIT, f, [n], PicardConfig()),
+        lambda u, k, f, n: energy_identity_residual(u, k, f, HP_UNIT, n),
+        lambda u, k, f, n: idee_residual(u, k, f, HP_UNIT, n),
+        lambda u, k, f, n: sqrt_nu_seminorm(k, HP_UNIT, n),
+        lambda u, k, f, n: lp_flux_norm(k, HP_UNIT, n, 1.2),
+        lambda u, k, f, n: full_report(u, k, f, HP_UNIT, n),
+    ], ids=["solve_u_given_k", "solve_k_given_u", "kirchhoff_k_solve", "picard_solve",
+            "chi_decoupled_solve", "n_sweep", "energy_identity_residual", "idee_residual",
+            "sqrt_nu_seminorm", "lp_flux_norm", "full_report"])
+    @pytest.mark.parametrize("n", [0, 2.5, math.inf, math.nan, True], ids=repr)
+    def test_raises_before_any_solve(self, monkeypatch, call, n):
+        g = make_grid(8, 8, 1.0, 1.0)
+        f = gaussian_source(g)
+        u, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 4, f)
+        k = ScalarField.full(g, 0.5)
+        solves = count_calls(monkeypatch, fixedpoint.solve_spd)
+        with pytest.raises(ValueError, match=r"^truncation level must be a positive integer, got "):
+            call(u, k, f, n)
         assert not solves
 
 

@@ -19,7 +19,7 @@ from turbsolve import (
 )
 from turbsolve._kernels import face_gradients
 from turbsolve.grid import face_average
-from turbsolve.linsolve import poisson_inverse
+from turbsolve.linsolve import INNER_TOL, poisson_inverse
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 
@@ -97,14 +97,14 @@ class TestSolve:
         g, c, A, _ = random_operator()
         x, report = solve_spd(A, ScalarField.zeros(g))
         assert not x.values.any()
-        assert report.converged and report.iterations == 0
+        assert report == LinearSolveReport(0, 0.0)
 
     def test_roundtrip_recovery(self):
         g, c, A, rng = random_operator(seed=2)
         y = rng.standard_normal(g.shape)
         b = ScalarField(g, A.apply(y))
         x, report = solve_spd(A, b, tol=1e-13)
-        assert report.converged
+        assert report.relative_residual <= 1e-13
         assert np.max(np.abs(x.values - y)) <= 1e-10
 
     def test_manufactured_second_order(self):
@@ -139,7 +139,7 @@ class TestSolve:
         with pytest.raises(LinearSolveError) as info:
             solve_spd(A, b, tol=1e-14, max_iter=2)
         assert info.value.report.iterations == 2
-        assert not info.value.report.converged
+        assert info.value.report.relative_residual > 1e-14
 
     def test_residual_contract(self):
         g, c, A, rng = random_operator(seed=12)
@@ -182,7 +182,7 @@ class TestWarmStart:
         tol = 1e-12
         x, _ = solve_spd(A, b, tol=tol)
         y, report = solve_spd(A, b, tol=tol, x0=x)
-        assert report.iterations == 0 and report.converged
+        assert report.iterations == 0
         res = np.linalg.norm(b.values - A.apply(y.values)) / np.linalg.norm(b.values)
         assert report.relative_residual == res <= tol
         assert np.array_equal(y.values, x.values) and y.values is not x.values
@@ -195,7 +195,7 @@ class TestWarmStart:
         y1, warm1 = solve_spd(A, b, x0=x0)
         y2, warm2 = solve_spd(A, b, x0=x0)
         assert warm1 == warm2 and np.array_equal(y1.values, y2.values)
-        assert warm1.converged and 0 < warm1.iterations < cold.iterations
+        assert warm1.relative_residual <= INNER_TOL and 0 < warm1.iterations < cold.iterations
 
     def test_rejects_start_on_other_grid(self):
         g, c, A, rng = random_operator()
@@ -210,7 +210,7 @@ class TestLooseTol:
         b = ScalarField(g, rng.standard_normal(g.shape))
         _, tight = solve_spd(A, b, tol=1e-12)
         y, loose = solve_spd(A, b, tol=1e-12, loose_tol=1e-4)
-        assert loose.converged and 0 < loose.iterations < tight.iterations
+        assert 0 < loose.iterations < tight.iterations
         res = np.linalg.norm(b.values - A.apply(y.values)) / np.linalg.norm(b.values)
         assert loose.relative_residual == res
         assert 1e-12 < res <= 1e-4
@@ -270,7 +270,7 @@ def reference_cg(A, b, tol):
             r_true = rhs - A.apply(x)
             res_true = float(np.linalg.norm(r_true)) / bnorm
             if res_true <= tol:
-                return x, LinearSolveReport(iterations, res_true, True)
+                return x, LinearSolveReport(iterations, res_true)
             r = r_true
             z = precondition(A, r)
             p = z.copy()

@@ -257,11 +257,6 @@ class TestFullReport:
         assert report.chi_linf == 0.0
         assert math.isnan(report.holder_alpha_u)
 
-    def test_rejects_large_exponent(self, manufactured_run):
-        g, f, u, k = manufactured_run
-        with pytest.raises(ValueError):
-            full_report(u, k, f, CONSTANT, 64, p=1.6)
-
     def test_chi_field_only_for_proportional_pairs(self, manufactured_run):
         g, f, u, k = manufactured_run
         report = full_report(u, k, f, CONSTANT, 64)
