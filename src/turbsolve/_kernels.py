@@ -7,8 +7,8 @@ couples p and p + 1 across an interior y-face (zero where p + 1 starts a
 new row), and ``wd`` is the diagonal of the wall faces.  The matvec, the
 dissipation density and the energy read the same weights, on contiguous
 1-D slices only, so the energy identity and the substitution identity
-A(c)(u^2/2) = u A(c)u - D(u, c) hold algebraically.  ``face_gradients``
-serves the verification layer's face quadratures.
+A(c)(u^2/2) = u A(c)u - D(u, c) hold algebraically.  So do the
+verification layer's face quadratures, through :func:`face_differences`.
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ import numpy as np
 USE_NUMBA = False
 
 
+# No package module calls this.  It stays because the benchmark's tracer
+# (perfbench/tracing.py) binds it by name and tests/test_linsolve.py uses it as an operator reference.
 def face_gradients(v, hx, hy):
     """Two-point face differences of a cell field, Dirichlet mirror ghosts.
 
@@ -65,8 +67,8 @@ def stencil_weights(c, hx, hy):
     return wx, wy, wd.reshape(-1)
 
 
-def _face_differences(vf, w, out):
-    """Differences vf[p + s] - vf[p] across the faces of weight w, into out.
+def face_differences(vf, w, out=None):
+    """Differences vf[p + s] - vf[p] across the faces of weight w (into out if given), and s.
 
     A weight array holds one entry per flat cell p that has a neighbour p + s,
     so its length fixes the offset: s = ny for x-faces, 1 for y-faces.
@@ -83,7 +85,7 @@ def diffusion_matvec(v, wx, wy, wd, out, t):
     vf, of = v.reshape(-1), out.reshape(-1)
     np.multiply(wd, vf, out=of)
     for w in (wx, wy):
-        d, s = _face_differences(vf, w, t[:w.size])
+        d, s = face_differences(vf, w, t[:w.size])
         d *= w
         of[:-s] -= d
         of[s:] += d
@@ -102,7 +104,7 @@ def dissipation_cells(v, wx, wy, wd):
     out *= vf
     t = np.empty(wy.size)
     for w in (wx, wy):
-        d, s = _face_differences(vf, w, t[:w.size])
+        d, s = face_differences(vf, w, t[:w.size])
         d *= d
         d *= w
         out[:-s] += d
@@ -117,7 +119,7 @@ def stencil_energy(v, wx, wy, wd):
     t = vf * vf
     e = float(np.dot(wd, t))
     for w in (wx, wy):
-        d, _ = _face_differences(vf, w, t[:w.size])
+        d, _ = face_differences(vf, w, t[:w.size])
         d *= d
         e += float(np.dot(w, d))
     return e

@@ -7,10 +7,11 @@ face is the negative of the adjacent interior value, so the reconstructed
 face value is exactly zero and the one-sided face gradient is 2v/h.
 
 Face quadrature carries measure hx*hy per interior face and (hx*hy)/2 per
-boundary face (the half cell between a center and the wall).  With these
-weights the discrete energy  sum_f c_f |dv|_f^2 w_f  coincides
-algebraically with <A(c)v, v> * hx*hy for the operator assembled in
-:mod:`turbsolve.linsolve`; the verification module leans on that identity.
+wall face (the half cell between a center and the wall).  With these
+measures a face term c_f |dv/h|^2 is the flat stencil weight of its face
+(:func:`turbsolve._kernels.stencil_weights`) times (dv)^2 hx*hy, so the
+energy and the verification module's face quadratures are sums over the
+weights of the operator assembled in :mod:`turbsolve.linsolve`.
 """
 
 import math
@@ -115,6 +116,8 @@ def linf_norm(v: ScalarField) -> float:
     return float(np.max(np.abs(v.values))) if v.values.size else 0.0
 
 
+# No package module calls this.  It stays because the benchmark's tracer
+# (perfbench/tracing.py) binds it by name and tests/test_linsolve.py uses it as an operator reference.
 def face_average(c: np.ndarray):
     """Arithmetic face means of a cell array; wall faces copy the inner cell."""
     nx, ny = c.shape
@@ -127,25 +130,6 @@ def face_average(c: np.ndarray):
     cfy[:, 0] = c[:, 0]
     cfy[:, ny] = c[:, ny - 1]
     return cfx, cfy
-
-
-def face_weights(grid: Grid):
-    """Per-face quadrature factors: 1 on interior faces, 1/2 on wall faces."""
-    kx = np.ones(grid.nx + 1)
-    ky = np.ones(grid.ny + 1)
-    kx[0] = kx[-1] = 0.5
-    ky[0] = ky[-1] = 0.5
-    return kx, ky
-
-
-def dirichlet_face_mean(v: np.ndarray):
-    """Face means of a cell array including the mirror ghosts (0 on walls)."""
-    nx, ny = v.shape
-    mx = np.zeros((nx + 1, ny))
-    my = np.zeros((nx, ny + 1))
-    mx[1:nx, :] = 0.5 * (v[1:, :] + v[:-1, :])
-    my[:, 1:ny] = 0.5 * (v[:, 1:] + v[:, :-1])
-    return mx, my
 
 
 def weighted_energy(c: ScalarField, v: ScalarField) -> float:

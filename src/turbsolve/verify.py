@@ -29,17 +29,7 @@ import numpy as np
 from . import _kernels
 from .coeffs import ViscosityModel, truncated_coefficients
 from .fixedpoint import PicardConfig, picard_solve
-from .grid import (
-    Grid,
-    ScalarField,
-    dirichlet_face_mean,
-    face_average,
-    face_weights,
-    integrate,
-    linf_norm,
-    make_grid,
-    weighted_energy,
-)
+from .grid import Grid, ScalarField, integrate, linf_norm, make_grid, weighted_energy
 
 ABS_FLOOR = 1e-14
 _FLUX_EXPONENT = 1.4  # the p < 3/2 at which full_report measures the flux bound
@@ -120,46 +110,51 @@ def idee_residual(
 ) -> float:
     """Max over test fields phi of the normalized product-identity defect.
 
-    Testing the discrete u-equation with u*phi splits exactly into
-        T1(phi): sum_f nu_f |du|_f^2 phi*_f w_f      (dissipation)
-        T2(phi): sum   f u phi m                     (load)
-        T3(phi): sum_f nu_f mean(u)_f du_f dphi_f w_f (convection)
-    with phi* the operator's face average and mean(u) the mirror face mean
-    (zero on walls).  |T1 - T2 + T3| equals the inner-solve residual paired
-    with u*phi, so converged runs drive it to the solver tolerance.  Each
-    defect is scaled by max(1, E * |phi|_inf).
+    On the flat stencil (w per interior face, wd per wall cell) of
+    A(nu_n(k)), testing the discrete u-equation with u*phi splits exactly into
+        T1(phi): sum w (du)^2 mean(phi) m + sum wd u^2 phi m  (dissipation)
+        T2(phi): sum f u phi m                                 (load)
+        T3(phi): sum w mean(u) du dphi m                       (convection)
+    with m the cell area; T3 has no wall term, as the mirror mean of u is 0
+    there.  |T1 - T2 + T3| equals the inner-solve residual paired with u*phi,
+    so converged runs drive it to the solver tolerance.  Each defect is
+    scaled by max(1, E * |phi|_inf), E = <A u, u> m.
     """
     if test_set is None:
         test_set = default_test_fields(u.grid)
     g = u.grid
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
-    cfx, cfy = face_average(nu_n)
-    kx, ky = face_weights(g)
-    m_cell = g.cell_area
-    wx = kx[:, None] * m_cell
-    wy = ky[None, :] * m_cell
-    gux, guy = _kernels.face_gradients(u.values, g.hx, g.hy)
-    umx, umy = dirichlet_face_mean(u.values)
-    energy = weighted_energy(ScalarField(g, nu_n), u)
+    *faces, wd = _kernels.stencil_weights(nu_n, g.hx, g.hy)
+    energy = _kernels.stencil_energy(u.values, *faces, wd) * g.cell_area
+    uf = u.values.reshape(-1)
+    wall = wd * uf * uf
+    families = []  # per face family: its offset s, w (du)^2 / 2 and w mean(u) du
+    for w in faces:
+        du, s = _kernels.face_differences(uf, w)
+        flux = w * du
+        families.append((s, 0.5 * flux * du, 0.5 * flux * (uf[s:] + uf[:-s])))
 
     worst = 0.0
     for phi in test_set:
-        pfx, pfy = face_average(phi.values)
-        gpx, gpy = _kernels.face_gradients(phi.values, g.hx, g.hy)
-        t1 = float(np.sum(cfx * gux * gux * pfx * wx) + np.sum(cfy * guy * guy * pfy * wy))
+        pf = phi.values.reshape(-1)
+        t1 = float(np.dot(wall, pf))
+        t3 = 0.0
+        for s, dissipation, convection in families:
+            t1 += float(np.dot(dissipation, pf[s:] + pf[:-s]))
+            t3 += float(np.dot(convection, pf[s:] - pf[:-s]))
         t2 = integrate(ScalarField(g, f.values * u.values * phi.values))
-        t3 = float(np.sum(cfx * umx * gux * gpx * wx) + np.sum(cfy * umy * guy * gpy * wy))
         scale = max(1.0, energy * linf_norm(phi))
-        worst = max(worst, abs(t1 - t2 + t3) / scale)
+        worst = max(worst, abs((t1 + t3) * g.cell_area - t2) / scale)
     return worst
 
 
 def level_set_profile(u: ScalarField, s_list) -> list[tuple[float, float]]:
     """psi(s) = total area of cells with |u| >= s, for ascending s >= 0."""
     s_arr = np.asarray(s_list, dtype=float)
-    if np.any(s_arr < 0):
+    # each check is written to fail on NaN as well; inf stays valid (psi = 0)
+    if not np.all(s_arr >= 0):
         raise ValueError("level-set thresholds must be nonnegative")
-    if np.any(np.diff(s_arr) < 0):
+    if not np.all(s_arr[1:] >= s_arr[:-1]):
         raise ValueError("level-set thresholds must be ascending")
     mag = np.abs(u.values)
     m = u.grid.cell_area
@@ -173,7 +168,7 @@ def stampacchia_exponents(r: float) -> tuple[float, float]:
     Sobolev exponent to work with).  For r >= 3 the formula leaves its
     domain; the limit values (inf, 3) are returned with a warning.
     """
-    if r <= 1.5:
+    if not r > 1.5:  # fails on NaN as well
         raise ValueError(f"the load integrability exponent must exceed 3/2, got r = {r}")
     if r >= 3.0:
         warnings.warn(
@@ -247,18 +242,24 @@ def lp_flux_norm(k: ScalarField, m: ViscosityModel, n: int, p: float) -> float:
     Each face carries half its quadrature measure so the x- and y-face
     families together tile the domain exactly once; with that measure the
     Holder interpolation bound between exponents holds with the plain
-    domain measure.
+    domain measure.  An interior face of flat stencil weight w has flux
+    w h |dk|; a wall face has |2 a_n k / h| of its cell, read off the boundary
+    rows, because wd merges a corner cell's x and y wall faces.
     """
     if not 1.0 <= p < 1.5:
         raise ValueError(f"the flux exponent must lie in [1, 3/2), got p = {p}")
     g = k.grid
     _, a_n, _ = truncated_coefficients(m, k.values, n)
-    cfx, cfy = face_average(a_n)
-    kxw, kyw = face_weights(g)
-    gx, gy = _kernels.face_gradients(k.values, g.hx, g.hy)
-    wx = kxw[:, None] * (0.5 * g.cell_area)
-    wy = kyw[None, :] * (0.5 * g.cell_area)
-    total = float(np.sum(np.abs(cfx * gx) ** p * wx) + np.sum(np.abs(cfy * gy) ** p * wy))
+    wx, wy, _ = _kernels.stencil_weights(a_n, g.hx, g.hy)
+    kf = k.values.reshape(-1)
+    interior = 0.0
+    for w, h in ((wx, g.hx), (wy, g.hy)):
+        dk, _ = _kernels.face_differences(kf, w)
+        interior += float(np.sum(np.abs(w * h * dk) ** p))
+    wall = np.abs(a_n * k.values)  # the flux times h/2 on a wall face
+    walls = (2.0 / g.hx) ** p * float(np.sum(wall[0, :] ** p) + np.sum(wall[-1, :] ** p))
+    walls += (2.0 / g.hy) ** p * float(np.sum(wall[:, 0] ** p) + np.sum(wall[:, -1] ** p))
+    total = (interior + 0.5 * walls) * (0.5 * g.cell_area)
     return total ** (1.0 / p)
 
 

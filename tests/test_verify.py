@@ -22,11 +22,17 @@ from turbsolve import (
     stampacchia_exponents,
     weighted_energy,
 )
+from turbsolve._kernels import face_gradients
+from turbsolve.coeffs import truncated_coefficients
+from turbsolve.grid import face_average
 from turbsolve.verify import default_test_fields, manufactured_forcing, manufactured_solution
 
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
 HP_UNIT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0,
                          gamma=1.0, delta=1.0)
+SQRT_PAIR = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=2.0, delta=1.0)
+TABLE = ViscosityModel(kind="table", delta=1.0, table_s=(0.0, 1.0, 4.0), table_nu=(1.0, 2.0, 3.0),
+                       table_a=(1.0, 1.5, 2.0))
 SIN_SIN_ENERGY = math.pi**2 / 2.0
 
 
@@ -34,6 +40,66 @@ def gaussian_source(grid, amplitude=1.0, sigma=0.12):
     X, Y = grid.cell_centers()
     r2 = (X - 0.5 * grid.lx) ** 2 + (Y - 0.5 * grid.ly) ** 2
     return ScalarField(grid, amplitude * np.exp(-r2 / (2.0 * sigma**2)))
+
+
+def face_measures(g):
+    """Face quadrature measures on (nx+1) x ny and nx x (ny+1) face arrays:
+    the cell area on interior faces, half of it on wall faces."""
+    kx = np.ones(g.nx + 1)
+    ky = np.ones(g.ny + 1)
+    kx[[0, -1]] = 0.5
+    ky[[0, -1]] = 0.5
+    return kx[:, None] * g.cell_area, ky[None, :] * g.cell_area
+
+
+def face_idee_residual(u, k, f, m, n, test_set):
+    """The product-identity defect as face arrays with the wall faces stored:
+    a reference for the flat-stencil idee_residual."""
+    g = u.grid
+    nu_n, _, _ = truncated_coefficients(m, k.values, n)
+    cfx, cfy = face_average(nu_n)
+    wx, wy = face_measures(g)
+    gux, guy = face_gradients(u.values, g.hx, g.hy)
+    # mirror face means of u, zero on the walls
+    umx = np.zeros((g.nx + 1, g.ny))
+    umy = np.zeros((g.nx, g.ny + 1))
+    umx[1:-1, :] = 0.5 * (u.values[1:, :] + u.values[:-1, :])
+    umy[:, 1:-1] = 0.5 * (u.values[:, 1:] + u.values[:, :-1])
+    energy = float(np.sum(cfx * gux * gux * wx) + np.sum(cfy * guy * guy * wy))
+    worst = 0.0
+    for phi in test_set:
+        pfx, pfy = face_average(phi.values)
+        gpx, gpy = face_gradients(phi.values, g.hx, g.hy)
+        t1 = float(np.sum(cfx * gux * gux * pfx * wx) + np.sum(cfy * guy * guy * pfy * wy))
+        t2 = float(np.sum(f.values * u.values * phi.values) * g.cell_area)
+        t3 = float(np.sum(cfx * umx * gux * gpx * wx) + np.sum(cfy * umy * guy * gpy * wy))
+        worst = max(worst, abs(t1 - t2 + t3) / max(1.0, energy * np.max(np.abs(phi.values))))
+    return worst
+
+
+def face_lp_flux_norm(k, m, n, p):
+    """The flux norm as face arrays with the wall faces stored, each face at
+    half its measure: a reference for the flat-stencil lp_flux_norm."""
+    g = k.grid
+    _, a_n, _ = truncated_coefficients(m, k.values, n)
+    cfx, cfy = face_average(a_n)
+    wx, wy = face_measures(g)
+    gx, gy = face_gradients(k.values, g.hx, g.hy)
+    total = float(np.sum(np.abs(cfx * gx) ** p * wx) + np.sum(np.abs(cfy * gy) ** p * wy))
+    return (0.5 * total) ** (1.0 / p)
+
+
+@pytest.fixture(scope="module")
+def random_fields():
+    """Non-solution fields on an anisotropic grid, where every defect is O(1)."""
+    g = make_grid(11, 7, 1.3, 0.7)
+    rng = np.random.default_rng(16)
+    u = ScalarField(g, rng.standard_normal(g.shape))
+    f = ScalarField(g, rng.standard_normal(g.shape))
+    # the level 3 truncates nu and a on part of the cells of both models
+    k = ScalarField(g, rng.uniform(0.0, 9.0, g.shape))
+    phis = [ScalarField(g, rng.uniform(-1.0, 1.0, g.shape)) for _ in range(3)]
+    return u, k, f, phis + default_test_fields(g)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +171,24 @@ class TestProductIdentity:
             assert np.array_equal(a.values, b.values)
 
 
+class TestFlatStencilMatchesFaceArrays:
+    @pytest.mark.parametrize("model", [SQRT_PAIR, TABLE], ids=["sqrt", "table"])
+    def test_idee_residual(self, random_fields, model):
+        u, k, f, phis = random_fields
+        for phi in phis:
+            ref = face_idee_residual(u, k, f, model, 3, [phi])
+            assert ref > 1e-3
+            assert idee_residual(u, k, f, model, 3, test_set=[phi]) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 1.4])
+    @pytest.mark.parametrize("model", [SQRT_PAIR, TABLE], ids=["sqrt", "table"])
+    def test_lp_flux_norm(self, random_fields, model, p):
+        u, k, f, phis = random_fields
+        ref = face_lp_flux_norm(k, model, 3, p)
+        assert ref > 1.0
+        assert lp_flux_norm(k, model, 3, p) == pytest.approx(ref, rel=1e-13)
+
+
 class TestLevelSets:
     def test_constant_field(self):
         g = make_grid(4, 4, 2.0, 1.0)
@@ -141,6 +225,17 @@ class TestLevelSets:
         with pytest.raises(ValueError):
             level_set_profile(ScalarField.zeros(g), [0.5, 0.1])
 
+    @pytest.mark.parametrize("s_list", [[math.nan], [math.nan, 0.5], [0.0, math.nan], [0.1, math.nan, 0.5]])
+    def test_rejects_nan(self, s_list):
+        g = make_grid(4, 4, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            level_set_profile(ScalarField.zeros(g), s_list)
+
+    def test_infinite_threshold_is_extinct(self):
+        g = make_grid(4, 4, 1.0, 1.0)
+        profile = level_set_profile(ScalarField.full(g, 1.0), [0.0, math.inf, math.inf])
+        assert profile == [(0.0, pytest.approx(g.area)), (math.inf, 0.0), (math.inf, 0.0)]
+
 
 class TestExponents:
     def test_r2(self):
@@ -154,6 +249,11 @@ class TestExponents:
     def test_rejects_r_at_threshold(self):
         with pytest.raises(ValueError):
             stampacchia_exponents(1.5)
+
+    @pytest.mark.parametrize("r", [math.nan, np.float64(math.nan)], ids=["float", "float64"])
+    def test_rejects_nan(self, r):
+        with pytest.raises(ValueError):
+            stampacchia_exponents(r)
 
     def test_limit_sentinel(self):
         with pytest.warns(UserWarning):
@@ -243,6 +343,17 @@ class TestFullReport:
         assert report.sqrt_nu_h1_seminorm == 0.0
         assert report.stampacchia_rho == 6.0 and report.stampacchia_beta == 2.0
         assert report.level_set_profile[-1][1] == 0.0
+
+    def test_reads_only_the_flat_stencil(self, coupled_run, monkeypatch):
+        g, f, u, k = coupled_run
+        expected = full_report(u, k, f, HP_UNIT, 32).to_dict()
+
+        def refuse(*args):
+            raise AssertionError("verify built a face array")
+
+        monkeypatch.setattr("turbsolve.grid.face_average", refuse)
+        monkeypatch.setattr("turbsolve._kernels.face_gradients", refuse)
+        assert full_report(u, k, f, HP_UNIT, 32).to_dict() == expected
 
     def test_zero_data(self):
         g = make_grid(8, 8, 1.0, 1.0)
