@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .coeffs import HypothesisViolation, ViscosityModel
-from .fixedpoint import ROUTES, PicardConfig, SolveReport, SweepEntry, check_levels, n_sweep
+from .fixedpoint import PicardConfig, SolveReport, SweepEntry, check_levels, check_route, n_sweep
 from .grid import Grid, ScalarField, make_grid
 from .linsolve import LinearSolveError
 from .verify import InvariantReport, full_report, manufactured_errors, manufactured_forcing
@@ -76,9 +76,10 @@ class Source:
             raise ValueError(f"unknown source preset {self.preset!r}")
         if self.preset != "gaussian" and any(v is not None for v in (self.x0, self.y0, self.sigma)):
             raise ValueError(f"x0, y0 and sigma shape the gaussian preset only, not {self.preset!r}")
-        if self.sigma is not None and self.sigma <= 0:
+        # each check is written to fail on NaN as well
+        if self.sigma is not None and not self.sigma > 0:
             raise ValueError("gaussian source needs sigma > 0")
-        if self.r <= 1.5:
+        if not self.r > 1.5:
             raise HypothesisViolation("H0", f"the load must lie in L^r with r > 3/2, got r = {self.r}")
 
 
@@ -161,9 +162,6 @@ def load_config(path) -> RunConfig:
     sec = {name: parser[name] if parser.has_section(name) else {} for name in _KEYS}
     grid, model, source, picard = (cls(**_present(sec[name], cls)) for name, cls in _SECTIONS.items())
 
-    route = sec["solver"].get("route", "direct")
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
     n_list = [8]
     if "n_list" in sec["sweep"]:
         n_list = _parse(sec["sweep"], "n_list", lambda text: [int(t) for t in text.split()])
@@ -177,7 +175,7 @@ def load_config(path) -> RunConfig:
         n_list=n_list,
         solve_n=_parse(sec["solver"], "n", int) if "n" in sec["solver"] else n_list[-1],
         picard=picard,
-        route=route,
+        route=sec["solver"].get("route", "direct"),
         out_dir=sec["output"].get("dir"),
     )
     _validate(cfg)
@@ -187,12 +185,7 @@ def load_config(path) -> RunConfig:
 def _validate(cfg: RunConfig):
     check_levels(cfg.n_list)
     check_levels([cfg.solve_n])
-    if cfg.model.h1_ratio_inf() <= 0:
-        raise HypothesisViolation(
-            "H1", "a(s)/nu(s) has no positive floor (the dissipation estimate needs one)"
-        )
-    if cfg.route == "chi" and cfg.model.gamma is None:
-        raise HypothesisViolation("H2", "route=chi needs a proportional pair (gamma set)")
+    check_route(cfg.route, cfg.model)
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -287,9 +280,9 @@ def _out_dir(args, cfg) -> Path:
 
 
 def run_solve(cfg: RunConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     f = cfg.build_source()
     [entry] = n_sweep(cfg.model, f, [cfg.solve_n], cfg.picard, route=cfg.route)
+    out.mkdir(parents=True, exist_ok=True)  # only once the solve has returned
     report = entry.report
     _write_csv(out / "solve.csv", SWEEP_COLUMNS, _sweep_rows([entry]))
     _write_json(out / "report.json", {"config": config_echo(cfg), "reports": [report.to_dict()]})
@@ -304,9 +297,9 @@ def run_solve(cfg: RunConfig, out: Path) -> int:
 
 
 def run_sweep(cfg: RunConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     f = cfg.build_source()
     entries = n_sweep(cfg.model, f, cfg.n_list, cfg.picard, route=cfg.route)
+    out.mkdir(parents=True, exist_ok=True)  # only once the sweep has returned
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, _sweep_rows(entries))
     _write_json(
         out / "reports.json",

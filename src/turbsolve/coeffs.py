@@ -15,8 +15,8 @@ a floor delta > 0 (assumption H0).  Three kinds are supported:
 When ``gamma`` is set the pair is proportional, a = gamma*nu (assumption
 H2), and a is *realized* as gamma*nu everywhere so the proportionality is
 exact in floating point.  The weaker assumption H1 only asks for a ratio
-floor inf a/nu > 0; ``h1_ratio_inf`` computes that infimum exactly for
-each kind.
+floor inf a/nu > 0.  The model checks H0-H2 on its own values when it is
+built, and rejects NaN and infinite settings with them.
 
 The Kirchhoff-style flux transform A(s) = integral_0^s a(t) dt converts
 the quasilinear k-equation into a constant-coefficient one; A is strictly
@@ -42,7 +42,10 @@ class HypothesisViolation(ValueError):
     """A model or configuration breaks one of the admissibility assumptions.
 
     Labels: H0 (floors/integrability), H1 (ratio floor a/nu), H2
-    (proportional pair required).  The README lists the catalog.
+    (proportional pair required).  ``ViscosityModel`` raises all three
+    when it is built, ``fixedpoint.check_route`` raises H2 for the chi
+    route on a pair without gamma, and ``cli.Source`` raises H0 for a load
+    exponent r <= 3/2.  The README lists the catalog.
     """
 
     def __init__(self, label: str, message: str):
@@ -68,10 +71,11 @@ class ViscosityModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.delta <= 0:
-            raise HypothesisViolation("H0", "coefficient floor delta must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise HypothesisViolation("H2", "gamma must be positive")
+        # each check is written to fail on NaN as well
+        if not 0 < self.delta < math.inf:
+            raise HypothesisViolation("H0", "coefficient floor delta must be positive and finite")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise HypothesisViolation("H2", "gamma must be positive and finite")
         if self.kind == "table":
             self._validate_table()
         elif any(t is not None for t in (self.table_s, self.table_nu, self.table_a)):
@@ -79,46 +83,47 @@ class ViscosityModel:
                              "table_s, table_nu and table_a are for kind = table")
         if self.kind != "physical_sqrt" and (self.nu2 != 0 or self.a2 != 0):
             raise ValueError(f"a {self.kind} model takes no slopes: nu2 and a2 must be 0")
-        if self.kind != "table":
-            self._validate_sqrt()
-
-    def _validate_sqrt(self):
-        if self.nu2 < 0 or self.a2 < 0:
-            raise ValueError("sqrt-growth slopes must be nonnegative")
-        if self.nu1 < self.delta:
-            raise HypothesisViolation("H0", f"nu(0) = {self.nu1} falls below delta = {self.delta}")
-        if self.gamma is None and self.a1 < self.delta:
-            raise HypothesisViolation("H0", f"a(0) = {self.a1} falls below delta = {self.delta}")
-        if self.gamma is not None:
+        if not (0 <= self.nu2 < math.inf and 0 <= self.a2 < math.inf):
+            raise ValueError("sqrt-growth slopes must be nonnegative and finite")
+        # nu and a are nondecreasing on the sqrt family and piecewise linear
+        # on a table, so each is least at a node (s = 0 for the sqrt family)
+        nodes = np.asarray(self.table_s, dtype=float) if self.kind == "table" else np.zeros(1)
+        for name, values in (("nu", self.nu(nodes)), ("a", self.a(nodes))):
+            bad = ~((self.delta <= values) & (values < math.inf))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise HypothesisViolation("H0", f"{name}({nodes[i]:g}) = {values[i]:g} must be "
+                                                f"finite and at least delta = {self.delta:g}")
+        # a/nu is monotone in sqrt(s) from a1/nu1 towards a2/nu2 on the sqrt
+        # family, at least delta / max(table_nu) on a table and gamma with
+        # gamma set: once the floors hold, inf a/nu = 0 only here
+        if self.gamma is None and self.nu2 > 0 and self.a2 == 0:
+            raise HypothesisViolation(
+                "H1", "a(s)/nu(s) has no positive floor (the dissipation estimate needs one)")
+        if self.gamma is not None and self.kind != "table":
             # a is realized as gamma*nu; declared a1/a2 must agree.
             if not math.isclose(self.a1, self.gamma * self.nu1, rel_tol=1e-12, abs_tol=1e-300):
                 raise HypothesisViolation("H2", "a1 != gamma * nu1 for a proportional pair")
             if not math.isclose(self.a2, self.gamma * self.nu2, rel_tol=1e-12, abs_tol=1e-300):
                 raise HypothesisViolation("H2", "a2 != gamma * nu2 for a proportional pair")
-            if self.gamma * self.nu1 < self.delta:
-                raise HypothesisViolation("H0", "gamma * nu(0) falls below delta")
 
     def _validate_table(self):
+        """The table's structure; its values are checked with the other kinds'."""
         if self.table_s is None or self.table_nu is None:
             raise ValueError("table model needs table_s and table_nu")
         s = np.asarray(self.table_s, dtype=float)
-        nu = np.asarray(self.table_nu, dtype=float)
-        if s.ndim != 1 or s.size < 2 or np.any(np.diff(s) <= 0) or s[0] != 0.0:
-            raise ValueError("table_s must be ascending and start at 0")
-        if nu.shape != s.shape:
+        if (s.ndim != 1 or s.size < 2 or s[0] != 0.0 or not np.all(np.isfinite(s))
+                or np.any(np.diff(s) <= 0)):
+            raise ValueError("table_s must be finite, ascending and start at 0")
+        if np.shape(self.table_nu) != s.shape:
             raise ValueError("table_nu must match table_s")
-        if np.any(nu < self.delta):
-            raise HypothesisViolation("H0", "table nu values fall below delta")
         if self.gamma is not None and self.table_a is not None:
             raise ValueError("a table model with gamma set takes no table_a: a is gamma * nu")
         if self.gamma is None:
             if self.table_a is None:
                 raise ValueError("table model needs table_a when gamma is unset")
-            a = np.asarray(self.table_a, dtype=float)
-            if a.shape != s.shape:
+            if np.shape(self.table_a) != s.shape:
                 raise ValueError("table_a must match table_s")
-            if np.any(a < self.delta):
-                raise HypothesisViolation("H0", "table a values fall below delta")
 
     # -- evaluation ----------------------------------------------------
 
@@ -146,23 +151,6 @@ class ViscosityModel:
         if self.gamma is not None:
             return self.gamma * self.nu1, self.gamma * self.nu2
         return self.a1, self.a2
-
-    def h1_ratio_inf(self) -> float:
-        """Exact infimum over s >= 0 of a(s)/nu(s)."""
-        if self.gamma is not None:
-            return float(self.gamma)
-        if self.kind == "table":
-            _, a, _, _ = _table_segments(self)
-            nu = np.asarray(self.table_nu, dtype=float)
-            # ratio of piecewise-linear functions is monotone per segment,
-            # and constant beyond the table: node minimum is the infimum
-            return float(np.min(a / nu))
-        # physical_sqrt: ratio is monotone from a1/nu1 (s=0) to the slope
-        # ratio a2/nu2 (s -> inf when nu2 > 0)
-        candidates = [self.a1 / self.nu1]
-        if self.nu2 > 0:
-            candidates.append(self.a2 / self.nu2)
-        return float(min(candidates))
 
 
 def _check_level(n) -> int:

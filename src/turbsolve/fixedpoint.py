@@ -344,14 +344,14 @@ def chi_decoupled_solve(
 
     Iterates: solve u with coefficient nu_n(k); solve chi from
     A(a_n(k)) chi = f u; recover k = max(0, chi - (gamma/2) u^2).
-    Requires gamma set (a = gamma * nu); for gamma = 1 its fixed points
-    coincide with the direct route whenever no truncation is active.
-    As on the other routes, u is re-solved at the final k on
-    convergence; the returned chi is the last iterate's.
+    Requires gamma set (a = gamma * nu): ``check_route`` raises H2 before
+    any solve otherwise.  For gamma = 1 its fixed points coincide with the
+    direct route whenever no truncation is active.  As on the other
+    routes, u is re-solved at the final k on convergence; the returned chi
+    is the last iterate's.
     """
     n = _check_level(n)  # an int level for the report
-    if m.gamma is None:
-        raise HypothesisViolation("H2", "the chi route needs a proportional pair (gamma set)")
+    check_route("chi", m)
     u, k, report, kstep = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f))
     return u, k, kstep.chi, report
 
@@ -378,6 +378,18 @@ def check_levels(n_list) -> list[int]:
     return levels
 
 
+def check_route(route: str, m: ViscosityModel) -> None:
+    """Raise unless ``route`` is one of ROUTES and ``m`` admits it.
+
+    An unknown route is a ValueError; the chi route on a pair without
+    gamma breaks H2 (it reformulates the k-equation through a = gamma nu).
+    """
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    if route == "chi" and m.gamma is None:
+        raise HypothesisViolation("H2", "the chi route needs a proportional pair (gamma set)")
+
+
 def n_sweep(
     m: ViscosityModel,
     f: ScalarField,
@@ -393,8 +405,7 @@ def n_sweep(
     coincide, so the differences collapse to iteration noise.
     """
     levels = check_levels(n_list)
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
+    check_route(route, m)
 
     entries: list[SweepEntry] = []
     u_prev = None

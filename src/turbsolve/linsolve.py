@@ -146,7 +146,7 @@ def solve_spd(
     once per call and updated in place.  Raises LinearSolveError when the
     iteration budget runs out.
     """
-    if tol <= 0:
+    if not tol > 0:  # fails on NaN as well
         raise ValueError("tolerance must be positive")
     if b.grid != A.grid:
         raise ValueError("right-hand side lives on a different grid")

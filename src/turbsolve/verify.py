@@ -198,7 +198,7 @@ def sqrt_nu_seminorm(k: ScalarField, m: ViscosityModel, n: int) -> float:
 
 def chi_bound_check(u: ScalarField, k: ScalarField, gamma: float) -> float:
     """Sup norm of chi = k + (gamma/2) u^2 (proportional pairs)."""
-    if gamma <= 0:
+    if not gamma > 0:  # fails on NaN as well
         raise ValueError("gamma must be positive")
     return linf_norm(ScalarField(u.grid, k.values + 0.5 * gamma * u.values**2))
 

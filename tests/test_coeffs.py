@@ -73,19 +73,56 @@ class TestEvaluation:
 
 
 class TestRatioFloor:
-    def test_proportional(self):
-        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=3.0, a2=3.0,
-                           gamma=3.0, delta=1.0)
-        assert m.h1_ratio_inf() == 3.0
-
-    def test_constant(self):
-        m = ViscosityModel(kind="constant", nu1=2.0, a1=1.0, delta=0.5)
-        assert m.h1_ratio_inf() == pytest.approx(0.5)
-
+    # with finite floors, inf a/nu = 0 exactly when gamma is unset, nu2 > 0 and a2 = 0
     def test_degenerate_ratio(self):
         # a stays bounded while nu grows: no positive floor exists
-        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=0.0, delta=1.0)
-        assert m.h1_ratio_inf() == 0.0
+        with pytest.raises(HypothesisViolation) as info:
+            ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=0.0, delta=1.0)
+        assert info.value.label == "H1"
+
+    @pytest.mark.parametrize("kwargs, floor", [
+        (dict(kind="constant", nu1=2.0, a1=1.0, delta=0.5), 0.5),
+        (dict(nu1=1.0, nu2=1.0, a1=1.0, a2=1e-3, delta=1.0), 1e-3),
+        (dict(nu1=1.0, nu2=1.0, a1=3.0, a2=3.0, gamma=3.0, delta=1.0), 3.0),
+        # a falls to delta mid-table, where nu is 2
+        (dict(kind="table", delta=1.0, table_s=(0.0, 1.0, 2.0), table_nu=(1.0, 2.0, 3.0),
+              table_a=(2.0, 1.0, 2.0)), 0.5),
+    ], ids=["both-slopes-0", "a2-positive", "gamma", "table-a-falls-to-delta"])
+    def test_boundary_cases_build(self, kwargs, floor):
+        m = ViscosityModel(**kwargs)
+        s = np.concatenate((np.linspace(0.0, 4.0, 401), [1e300]))
+        assert np.min(m.a(s) / m.nu(s)) == pytest.approx(floor, rel=1e-9)
+
+
+# the settings of a model that builds when one of them, v, is 2.0
+SETTING_CASES = {
+    "nu1": lambda v: dict(nu1=v, nu2=1.0, a1=1.0, a2=1.0),
+    "nu2": lambda v: dict(nu1=1.0, nu2=v, a1=1.0, a2=1.0),
+    "a1": lambda v: dict(nu1=1.0, nu2=1.0, a1=v, a2=1.0),
+    "a2": lambda v: dict(nu1=1.0, nu2=1.0, a1=1.0, a2=v),
+    "delta": lambda v: dict(nu1=2.0, a1=2.0, delta=v),
+    "gamma": lambda v: dict(nu1=1.0, a1=2.0, gamma=v),
+    "table_s": lambda v: dict(kind="table", table_s=(0.0, 1.0, v), table_nu=(1.0, 2.0, 3.0),
+                              table_a=(1.0, 2.0, 3.0)),
+    "table_nu": lambda v: dict(kind="table", table_s=(0.0, 1.0, 4.0), table_nu=(1.0, v, 3.0),
+                               table_a=(1.0, 2.0, 3.0)),
+    "table_a": lambda v: dict(kind="table", table_s=(0.0, 1.0, 4.0), table_nu=(1.0, 2.0, 3.0),
+                              table_a=(1.0, v, 3.0)),
+    "table-gamma": lambda v: dict(kind="table", table_s=(0.0, 1.0, 4.0), table_nu=(1.0, 2.0, 3.0),
+                                  gamma=v),
+}
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("field", SETTING_CASES)
+    def test_rejected_when_built(self, field, bad):
+        with pytest.raises(ValueError):
+            ViscosityModel(**SETTING_CASES[field](bad))
+
+    @pytest.mark.parametrize("field", SETTING_CASES)
+    def test_builds_with_a_finite_value(self, field):
+        ViscosityModel(**SETTING_CASES[field](2.0))
 
 
 class TestTruncate:
@@ -267,16 +304,11 @@ class TestTableModel:
         m = self.make(gamma=2.0)
         s = np.linspace(0.0, 6.0, 50)
         assert np.array_equal(m.a(s), 2.0 * m.nu(s))
-        assert m.h1_ratio_inf() == 2.0
 
     def test_floor_enforced(self):
         with pytest.raises(HypothesisViolation):
             ViscosityModel(kind="table", delta=1.0, table_s=(0.0, 1.0),
                            table_nu=(0.5, 2.0), table_a=(1.0, 1.0))
-
-    def test_ratio_floor_at_nodes(self):
-        m = self.make()
-        assert m.h1_ratio_inf() == pytest.approx(2.0)
 
     # -- the closed-form inverse ------------------------------------------
 

@@ -243,6 +243,30 @@ class TestBadLevel:
         assert not solves
 
 
+NO_GAMMA = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0, delta=1.0)
+
+
+class TestCheckRoute:
+    # check_route is the one route check: the CLI, n_sweep and the chi route call it
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda f: fixedpoint.check_route("magic", HP_UNIT), ValueError, "unknown route 'magic'"),
+        (lambda f: n_sweep(HP_UNIT, f, [4], PicardConfig(), route="magic"), ValueError,
+         "unknown route 'magic'"),
+        (lambda f: fixedpoint.check_route("chi", NO_GAMMA), HypothesisViolation, "^H2: "),
+        (lambda f: n_sweep(NO_GAMMA, f, [4], PicardConfig(), route="chi"), HypothesisViolation,
+         "^H2: "),
+        (lambda f: chi_decoupled_solve(NO_GAMMA, 4, f, PicardConfig()), HypothesisViolation,
+         "^H2: "),
+    ], ids=["unknown-check_route", "unknown-n_sweep", "chi-check_route", "chi-n_sweep",
+            "chi-chi_decoupled_solve"])
+    def test_raises_before_any_solve(self, monkeypatch, call, error, match):
+        f = gaussian_source(make_grid(8, 8, 1.0, 1.0))
+        solves = count_calls(monkeypatch, fixedpoint.solve_spd)
+        with pytest.raises(error, match=match):
+            call(f)
+        assert not solves
+
+
 class TestRelaxationFallback:
     """The k-update relaxation drops from 1 to 0.5 the first time the increment grows.
 

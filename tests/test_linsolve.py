@@ -155,6 +155,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_spd(A, ScalarField.zeros(g), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("-inf")], ids=repr)
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        # a NaN tolerance used to reach CG, which reported a breakdown
+        g = make_grid(17, 17, 1.0, 1.0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve_spd(assemble(ScalarField.full(g, 1.0)), ScalarField.full(g, 1.0), tol=tol)
+
     def test_deterministic(self):
         g, c, A, rng = random_operator(seed=5)
         b = ScalarField(g, rng.standard_normal(g.shape))

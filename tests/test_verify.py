@@ -293,6 +293,13 @@ class TestChiBound:
         with pytest.raises(ValueError):
             chi_bound_check(z, z, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, -math.inf], ids=repr)
+    def test_rejects_gamma_that_is_not_positive(self, gamma):
+        g = make_grid(4, 4, 1.0, 1.0)
+        z = ScalarField.zeros(g)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            chi_bound_check(z, z, gamma)
+
     def test_dominates_k(self, coupled_run):
         g, f, u, k = coupled_run
         chi = chi_bound_check(u, k, 1.0)
