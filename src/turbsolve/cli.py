@@ -77,6 +77,9 @@ class Source:
         if self.preset != "gaussian" and any(v is not None for v in (self.x0, self.y0, self.sigma)):
             raise ValueError(f"x0, y0 and sigma shape the gaussian preset only, not {self.preset!r}")
         # each check is written to fail on NaN as well
+        for key, value in (("amplitude", self.amplitude), ("x0", self.x0), ("y0", self.y0)):
+            if value is not None and not abs(value) < math.inf:
+                raise ValueError(f"source {key} must be finite, got {value}")
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError("gaussian source needs sigma > 0")
         if not self.r > 1.5:

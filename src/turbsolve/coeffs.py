@@ -21,9 +21,8 @@ built, and rejects NaN and infinite settings with them.
 The Kirchhoff-style flux transform A(s) = integral_0^s a(t) dt converts
 the quasilinear k-equation into a constant-coefficient one; A is strictly
 increasing with A' = a >= delta, so A(s) >= delta*s and the inverse obeys
-A_inv(S) <= S/delta.  The sqrt family inverts A by Newton on a cubic in
-sqrt(s), started above the root in closed form so that it descends
-monotonically; tables invert each quadratic segment in closed form.
+A_inv(S) <= S/delta.  Every kind inverts A in closed form, with no loop and
+no tolerance: a cubic in sqrt(s) on the sqrt family, a quadratic per segment.
 """
 
 import math
@@ -31,9 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-A_INV_TOL = 1e-12  # |A(s) - S| <= A_INV_TOL * max(1, S)
-_TINY = np.finfo(float).tiny
 
 _KINDS = ("physical_sqrt", "constant", "table")
 
@@ -240,11 +236,13 @@ def kirchhoff_A_inv(m: ViscosityModel, S):
     kind realizes the linear growth bound A_inv(S) <= S/delta.
 
     * constant (or a2 = 0): s = S/a1.
-    * physical_sqrt, a2 > 0: |A(s) - S| <= A_INV_TOL * max(1, S).  s = t^2,
-      t the root of p(t) = (c t + a1) t^2 - S, c = (2/3) a2, increasing and
-      convex on t >= 0.  Newton from min(sqrt(S/a1), cbrt(S/c)), at or above
-      the root, descends to it with no bracket; one step past the tolerance
-      takes t to rounding level.  RuntimeError if it misses.
+    * physical_sqrt, a2 > 0: closed form, no loop and no tolerance.  s = t^2
+      with (c t + a1) t^2 = S, c = (2/3) a2; tau = t c / a1 solves
+      tau^2 (1 + tau) = sigma = S c^2 / a1^3; x = sqrt(27 sigma / 4) is built
+      from sqrt(S).  x <= 1: the largest of three real roots, tau = x / (3
+      cos(arccos(x) / 3)), which does not cancel as x -> 0.  x > 1: Cardano's
+      one real root, tau = u + 1/(9u) - 1/3, u^3 = (x + sqrt(x^2 - 1))^2 / 27,
+      or t = cbrt(S/c) where u overflows.  |A(s) - S| is near 1e-15 max(1, S).
     * table: closed form, no loop and no tolerance.  Past node s_i,
       A(s_i + t) = A(s_i) + a_i t + b_i t^2 / 2, so with r = S - A(s_i),
       t = 2 r / (a_i + sqrt(a_i^2 + 2 b_i r)), whose denominator adds two
@@ -277,19 +275,16 @@ def kirchhoff_A_inv(m: ViscosityModel, S):
 
 
 def _sqrt_A_inv(a1: float, c: float, S: np.ndarray) -> np.ndarray:
-    """s = t^2 with (c t + a1) t^2 = S, by Newton in t from above (see kirchhoff_A_inv)."""
-    # roots taken before dividing, so that S near the float maximum cannot overflow
-    t = np.minimum(np.sqrt(S) / math.sqrt(a1), np.cbrt(S) / c ** (1.0 / 3.0))
-    tol = A_INV_TOL * np.maximum(1.0, S)
-    for _ in range(50):
-        p = (c * t + a1) * t * t - S
-        done = np.all(np.abs(p) <= tol)
-        # In exact arithmetic every step descends, so a step that would climb
-        # is rounding (or a subnormal t^2) and t stays.  The derivative
-        # t (3 c t + 2 a1) vanishes only at S = 0, where t = 0 and p = 0, and
-        # the floor turns that 0/0 into a zero step.
-        t = np.minimum(t, t - p / np.maximum(t * (3.0 * c * t + 2.0 * a1), _TINY))
-        if done:
-            # the step after the tolerance is met takes t to rounding level
-            return t * t
-    raise RuntimeError("the flux-transform inverse missed its tolerance in 50 Newton steps")
+    """s = t^2 with (c t + a1) t^2 = S, in closed form (see kirchhoff_A_inv)."""
+    # roots of S are taken before dividing, so that S near the float maximum cannot overflow
+    q = np.sqrt(S) / math.sqrt(a1)
+    x = q * (math.sqrt(6.75) * c / a1)
+    t = np.empty_like(q)
+    small = x <= 1.0
+    # q times one factor: (q * const) / cos would round twice and lose monotonicity near x = 1
+    t[small] = q[small] * (0.5 * math.sqrt(3.0) / np.cos(np.arccos(x[small]) / 3.0))
+    x = x[~small]
+    u = np.cbrt(x + np.sqrt(x - 1.0) * np.sqrt(x + 1.0)) ** 2 / 3.0
+    t[~small] = np.where(u < math.inf, (u + 1.0 / (9.0 * u) - 1.0 / 3.0) * (a1 / c),
+                         np.cbrt(S[~small]) / np.cbrt(c))
+    return t * t

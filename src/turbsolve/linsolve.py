@@ -148,6 +148,8 @@ def solve_spd(
     """
     if not tol > 0:  # fails on NaN as well
         raise ValueError("tolerance must be positive")
+    if loose_tol is not None and not loose_tol >= 0:
+        raise ValueError("loose tolerance must be nonnegative")
     if b.grid != A.grid:
         raise ValueError("right-hand side lives on a different grid")
     if x0 is not None and x0.grid != A.grid:

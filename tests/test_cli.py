@@ -666,6 +666,13 @@ class TestSourceConfig:
         with pytest.raises(error):
             Source(**kwargs)
 
+    @pytest.mark.parametrize("key, value", [
+        ("amplitude", math.nan), ("x0", math.inf), ("y0", math.nan), ("amplitude", -math.inf),
+    ], ids=["amplitude-nan", "x0-inf", "y0-nan", "amplitude-minus-inf"])
+    def test_rejects_non_finite_load_settings(self, key, value):
+        with pytest.raises(ValueError, match=f"source {key} must be finite"):
+            Source(preset="gaussian", **{key: value})
+
     @pytest.mark.parametrize("preset", ["constant", "manufactured"])
     @pytest.mark.parametrize("key", ["x0", "y0", "sigma"])
     def test_gaussian_shape_rejected_elsewhere(self, tmp_path, capsys, preset, key):

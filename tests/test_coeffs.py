@@ -12,7 +12,9 @@ from turbsolve import (
     kirchhoff_A,
     kirchhoff_A_inv,
 )
-from turbsolve.coeffs import A_INV_TOL, _table_segments, truncated_coefficients
+from turbsolve.coeffs import _table_segments, truncated_coefficients
+
+A_INV_TOL = 1e-12  # the inverse's contract: |A(s) - S| <= A_INV_TOL * max(1, S)
 
 SQRT_MODEL = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=2.0, a1=1.0, a2=1.0, delta=1.0)
 UNIT_SQRT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0, delta=1.0)
@@ -204,11 +206,35 @@ class TestKirchhoffTransform:
         for m in (UNIT_SQRT, SQRT_MODEL, INVERSE_MODELS["sqrt-gamma"]):
             s = kirchhoff_A_inv(m, 1e300)
             assert abs(kirchhoff_A(m, s) - 1e300) <= A_INV_TOL * 1e300
-        # a1 and c = (2/3) a2 below 1: S/a1 and S/c would overflow
-        m = ViscosityModel(nu1=0.5, nu2=0.1, a1=0.5, a2=0.1, delta=0.5)
         big = np.finfo(float).max
-        s = kirchhoff_A_inv(m, big)
-        assert 0.0 < s and s * m.delta <= big
+        # a1 and c = (2/3) a2 below 1: S/a1 and S/c would overflow
+        low = ViscosityModel(nu1=0.5, nu2=0.1, a1=0.5, a2=0.1, delta=0.5)
+        # sqrt(27 sigma / 4) = sqrt(27 S / 4) c / a1^1.5 overflows, though s is near 1.9e72
+        steep = ViscosityModel(nu1=1.0, nu2=1.0, a1=1.0, a2=1e200, delta=1.0)
+        for m in (low, steep, *INVERSE_MODELS.values()):
+            s = kirchhoff_A_inv(m, big)
+            assert 0.0 < s < math.inf and s * m.delta <= big
+            # A(s) itself may overflow here, so the cubic in t = sqrt(s) is checked over S
+            a1, a2 = m._a_coeffs()
+            t = math.sqrt(s)
+            assert abs(((2.0 / 3.0) * a2 * t + a1) * t * (t / big) - 1.0) <= A_INV_TOL
+
+    @pytest.mark.parametrize("m", [UNIT_SQRT, SQRT_MODEL, INVERSE_MODELS["sqrt"],
+                                   INVERSE_MODELS["sqrt-gamma"]],
+                             ids=["unit", "sqrt-model", "sqrt", "sqrt-gamma"])
+    def test_inverse_across_the_branch_point(self, m):
+        # The inverse switches formulas at sigma = S c^2 / a1^3 = 4/27, c = (2/3) a2:
+        # the 2000 floats on either side of that S (positive floats order as
+        # their bit patterns) and a dense sweep around it
+        a1, a2 = m._a_coeffs()
+        branch = (4.0 / 27.0) * a1**3 / ((2.0 / 3.0) * a2) ** 2
+        near = (np.float64(branch).view(np.int64) + np.arange(-2000, 2001)).view(np.float64)
+        assert np.array_equal(near[1:], np.nextafter(near[:-1], np.inf))
+        S = np.sort(np.concatenate((near, branch * np.linspace(0.25, 4.0, 4001))))
+        s = kirchhoff_A_inv(m, S)
+        assert np.all(np.abs(kirchhoff_A(m, s) - S) <= A_INV_TOL * np.maximum(1.0, S))
+        assert np.all(s <= S / m.delta)
+        assert np.all(np.diff(s) >= 0.0)
 
     @given(st.floats(0.0, 100.0))
     @settings(max_examples=200)

@@ -241,6 +241,22 @@ class TestLooseTol:
         _, report = solve_spd(A, b, tol=1e-12, x0=x, loose_tol=1e-3)
         assert report.iterations == 0 and report.relative_residual <= 1e-12
 
+    @pytest.mark.parametrize("loose_tol", [float("nan"), -1e-3, float("-inf")], ids=repr)
+    def test_rejects_nan_and_negative(self, loose_tol):
+        g, c, A, rng = random_operator(seed=18)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        with pytest.raises(ValueError, match="loose tolerance must be nonnegative"):
+            solve_spd(A, b, tol=1e-12, loose_tol=loose_tol)
+
+    @pytest.mark.parametrize("loose_tol", [0.0, float("inf")], ids=repr)
+    def test_zero_and_inf_stay_valid(self, loose_tol):
+        # _picard passes 0.0 after a level's first iteration; inf stops at the first iterate
+        g, c, A, rng = random_operator(seed=18)
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        _, report = solve_spd(A, b, tol=1e-12, loose_tol=loose_tol)
+        assert report.iterations >= 1
+        assert (report.relative_residual <= 1e-12) == (loose_tol == 0.0)
+
 
 def test_import_loads_no_scipy():
     # numpy is the one runtime dependency; scipy.fft alone doubles peak RSS
