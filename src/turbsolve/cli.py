@@ -168,8 +168,7 @@ def load_config(path) -> RunConfig:
     n_list = [8]
     if "n_list" in sec["sweep"]:
         n_list = _parse(sec["sweep"], "n_list", lambda text: [int(t) for t in text.split()])
-    if not n_list:
-        raise ValueError("[sweep] n_list names no level")
+    check_levels(n_list)  # before its last level serves as the default solve level
 
     cfg = RunConfig(
         grid=grid,
@@ -181,14 +180,9 @@ def load_config(path) -> RunConfig:
         route=sec["solver"].get("route", "direct"),
         out_dir=sec["output"].get("dir"),
     )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
-    check_levels(cfg.n_list)
     check_levels([cfg.solve_n])
     check_route(cfg.route, cfg.model)
+    return cfg
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -282,32 +276,25 @@ def _out_dir(args, cfg) -> Path:
     return Path(args.out or cfg.out_dir or "out")
 
 
-def run_solve(cfg: RunConfig, out: Path) -> int:
-    f = cfg.build_source()
-    [entry] = n_sweep(cfg.model, f, [cfg.solve_n], cfg.picard, route=cfg.route)
+# (table, reports, field dump) file names per subcommand; a solve is a one-level sweep
+_OUTPUTS = {
+    "solve": ("solve.csv", "report.json", "{name}.txt"),
+    "sweep": ("sweep.csv", "reports.json", "{name}_n{n}.txt"),
+}
+
+
+def run_levels(cfg: RunConfig, out: Path, command: str) -> int:
+    """Run ``solve`` (the level ``[solver] n``) or ``sweep`` (``n_list``) and write its outputs.
+
+    Returns 1, after writing every output, when a level did not converge.
+    """
+    table, reports, dump = _OUTPUTS[command]
+    levels = [cfg.solve_n] if command == "solve" else cfg.n_list
+    entries = n_sweep(cfg.model, cfg.build_source(), levels, cfg.picard, route=cfg.route)
     out.mkdir(parents=True, exist_ok=True)  # only once the solve has returned
-    report = entry.report
-    _write_csv(out / "solve.csv", SWEEP_COLUMNS, _sweep_rows([entry]))
-    _write_json(out / "report.json", {"config": config_echo(cfg), "reports": [report.to_dict()]})
-    write_field(out / "u.txt", entry.u)
-    write_field(out / "k.txt", entry.k)
-    if entry.chi is not None:
-        write_field(out / "chi.txt", entry.chi)
-    if not report.converged:
-        print(f"solve did not converge (last increment {report.final_increment:g})", file=sys.stderr)
-        return 1
-    return 0
-
-
-def run_sweep(cfg: RunConfig, out: Path) -> int:
-    f = cfg.build_source()
-    entries = n_sweep(cfg.model, f, cfg.n_list, cfg.picard, route=cfg.route)
-    out.mkdir(parents=True, exist_ok=True)  # only once the sweep has returned
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, _sweep_rows(entries))
-    _write_json(
-        out / "reports.json",
-        {"config": config_echo(cfg), "reports": [e.report.to_dict() for e in entries]},
-    )
+    _write_csv(out / table, SWEEP_COLUMNS, _sweep_rows(entries))
+    _write_json(out / reports,
+                {"config": config_echo(cfg), "reports": [e.report.to_dict() for e in entries]})
     # once truncation stops binding the levels return the same fields bit
     # for bit; copy the last dump of a name instead of formatting it again
     last = {}  # dump name -> (field, path) of its last dump
@@ -315,15 +302,17 @@ def run_sweep(cfg: RunConfig, out: Path) -> int:
         for name, field in (("u", e.u), ("k", e.k), ("chi", e.chi)):
             if field is None:
                 continue
-            path = out / f"{name}_n{e.report.n}.txt"
+            path = out / dump.format(name=name, n=e.report.n)
             if name in last and _same_dump(last[name][0], field):
                 shutil.copyfile(last[name][1], path)
             else:
                 write_field(path, field)
             last[name] = (field, path)
-    failed = [e.report.n for e in entries if not e.report.converged]
+    failed = [e.report for e in entries if not e.report.converged]
     if failed:
-        print(f"sweep entries did not converge at n = {failed}", file=sys.stderr)
+        increments = ", ".join(f"{r.final_increment:g}" for r in failed)
+        print(f"{command} did not converge at n = {[r.n for r in failed]} (last increments {increments})",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -404,10 +393,8 @@ def main(argv=None) -> int:
         return 2
     out = _out_dir(args, cfg)
     try:
-        if args.command == "solve":
-            return run_solve(cfg, out)
-        if args.command == "sweep":
-            return run_sweep(cfg, out)
+        if args.command in _OUTPUTS:
+            return run_levels(cfg, out, args.command)
         if args.command == "verify":
             return run_verify(cfg, out, args.u, args.k,
                               cfg.solve_n if args.n is None else args.n)

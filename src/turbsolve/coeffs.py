@@ -149,15 +149,16 @@ class ViscosityModel:
         return self.a1, self.a2
 
 
+def _is_integer(value) -> bool:
+    """Whether an integer setting holds an int or a numpy integer; a bool or any float does not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_level(n) -> int:
-    """n as an int; ValueError unless n is a positive integer (a bool, inf or NaN is not)."""
-    try:
-        level = int(n)
-    except (OverflowError, ValueError):  # inf, NaN
-        level = 0
-    if isinstance(n, (bool, np.bool_)) or level != n or level < 1:
+    """n as an int; ValueError unless n is a positive integer (see ``_is_integer``)."""
+    if not (_is_integer(n) and n >= 1):
         raise ValueError(f"truncation level must be a positive integer, got {n!r}")
-    return level
+    return int(n)
 
 
 def truncated_coefficients(m: ViscosityModel, s, n: int):

@@ -51,6 +51,7 @@ from .coeffs import (
     HypothesisViolation,
     ViscosityModel,
     _check_level,
+    _is_integer,
     kirchhoff_A_inv,
     truncated_coefficients,
 )
@@ -82,8 +83,8 @@ class PicardConfig:
         # each check is written to fail on NaN as well
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        if not (_is_integer(self.max_outer) and self.max_outer >= 1):
+            raise ValueError(f"max_outer must be a positive integer, got {self.max_outer!r}")
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
 

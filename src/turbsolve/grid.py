@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .coeffs import _is_integer
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,9 @@ class Grid:
     ly: float
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"need at least 2 cells per axis, got {self.nx}x{self.ny}")
+        for name, cells in (("nx", self.nx), ("ny", self.ny)):
+            if not (_is_integer(cells) and cells >= 2):
+                raise ValueError(f"{name} must be an integer of at least 2 cells, got {cells!r}")
         # written to fail on NaN as well
         if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
             raise ValueError(f"domain edges must be positive and finite, got {self.lx}x{self.ly}")

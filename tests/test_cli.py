@@ -176,7 +176,7 @@ class TestSweepDumps:
         written = count_write_field(monkeypatch)
         out = tmp_path / "out"
         out.mkdir()
-        cli.run_sweep(cfg, out)
+        cli.run_levels(cfg, out, "sweep")
         assert written == ["u_n1.txt", "k_n1.txt", "u_n2.txt"]
         assert (out / "u_n1.txt").read_text().splitlines()[3].split()[0] == "0"
         assert (out / "u_n2.txt").read_text().splitlines()[3].split()[0] == "-0"
@@ -210,6 +210,37 @@ table_a = 1 1 1e8 1
     assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("linear solve failed: ")
     assert not out.exists()
+
+
+# the patterns by which perfbench/workloads.py (_named_levels) reads the unconverged levels from stderr
+UNCONVERGED = {
+    "solve": "solve did not converge",
+    "sweep": r"did not converge at n = \[([0-9, ]*)\]",
+}
+
+
+@pytest.mark.parametrize("command, table, reports, dumps", [
+    ("solve", "solve.csv", "report.json", ["k.txt", "u.txt"]),
+    ("sweep", "sweep.csv", "reports.json",
+     [f"{name}_n{n}.txt" for name in "ku" for n in (1, 2, 4, 8, 16, 32, 64)]),
+])
+def test_unconverged_level_exits_1_after_every_output(tmp_path, capsys, command, table, reports, dumps):
+    # one outer iteration: the cold solve and the sweep's levels up to 16 stop
+    # unconverged, while the warm sweep levels 32 and 64 converge in it
+    text = BASE.replace("max_outer = 200", "max_outer = 1").replace(
+        "n_list = 1 2 4", "n_list = 1 2 4 8 16 32 64")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == sorted([table, reports, *dumps])
+    levels = json.loads((out / reports).read_text())["reports"]
+    unconverged = [r for r in levels if not r["converged"]]
+    assert unconverged and (command == "solve" or len(unconverged) < len(levels))
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and re.search(UNCONVERGED[command], err)
+    named = re.search(UNCONVERGED["sweep"], err).group(1)
+    assert [int(t) for t in named.split(",")] == [r["n"] for r in unconverged]
+    increments = err.split("(last increments ")[1].rstrip(")\n").split(", ")
+    assert increments == [f"{r['final_increment']:g}" for r in unconverged]
 
 
 def test_out_under_a_file(tmp_path, capsys):
@@ -433,7 +464,7 @@ class TestConfigValidation:
     def test_empty_n_list(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, BASE.replace("n_list = 1 2 4", "n_list ="))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "config error: [sweep] n_list names no level" in capsys.readouterr().err
+        assert "config error: n_list must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("levels, n, message", [

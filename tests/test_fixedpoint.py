@@ -185,6 +185,11 @@ class TestPicard:
         assert report.clamp_count == 0
         assert report.k_residual <= 1e-6
 
+    @pytest.mark.parametrize("max_outer", [math.nan, 2.5, 2.0, True, 0, math.inf], ids=repr)
+    def test_max_outer_must_be_a_positive_integer(self, max_outer):
+        with pytest.raises(ValueError, match=r"^max_outer must be a positive integer, got "):
+            PicardConfig(max_outer=max_outer)
+
     def test_nonconvergence_reported_not_raised(self):
         g = make_grid(17, 17, 1.0, 1.0)
         u, k, report = picard_solve(HP_UNIT, 8, gaussian_source(g),
@@ -231,7 +236,7 @@ class TestBadLevel:
     ], ids=["solve_u_given_k", "solve_k_given_u", "kirchhoff_k_solve", "picard_solve",
             "chi_decoupled_solve", "n_sweep", "energy_identity_residual", "idee_residual",
             "sqrt_nu_seminorm", "lp_flux_norm", "full_report"])
-    @pytest.mark.parametrize("n", [0, 2.5, math.inf, math.nan, True], ids=repr)
+    @pytest.mark.parametrize("n", [0, 2.5, 2.0, math.inf, math.nan, True], ids=repr)
     def test_raises_before_any_solve(self, monkeypatch, call, n):
         g = make_grid(8, 8, 1.0, 1.0)
         f = gaussian_source(g)

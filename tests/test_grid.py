@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from turbsolve import (
+    Grid,
     ScalarField,
     integrate,
     linf_norm,
@@ -42,6 +43,17 @@ class TestMakeGrid:
     def test_rejects_non_finite_edges(self, lx, ly):
         with pytest.raises(ValueError, match="positive and finite"):
             make_grid(9, 9, lx, ly)
+
+    @pytest.mark.parametrize("axis", ["nx", "ny"])
+    @pytest.mark.parametrize("cells", [3.0, 2.5, math.nan, math.inf, True, np.float64(4.0)], ids=repr)
+    def test_rejects_a_cell_count_that_is_not_an_integer(self, axis, cells):
+        sizes = {"nx": 4, "ny": 4, axis: cells}
+        with pytest.raises(ValueError, match=rf"^{axis} must be an integer of at least 2 cells, got "):
+            Grid(sizes["nx"], sizes["ny"], 1.0, 1.0)
+
+    def test_accepts_numpy_integers(self):
+        g = Grid(np.int64(5), np.int32(3), 1.0, 1.0)
+        assert ScalarField.zeros(g).values.shape == (5, 3)
 
     def test_measure_matches_cell_sum(self):
         g = make_grid(7, 13, 2.5, 0.75)
