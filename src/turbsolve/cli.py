@@ -77,7 +77,8 @@ class Source:
         if self.preset != "gaussian" and any(v is not None for v in (self.x0, self.y0, self.sigma)):
             raise ValueError(f"x0, y0 and sigma shape the gaussian preset only, not {self.preset!r}")
         # each check is written to fail on NaN as well
-        for key, value in (("amplitude", self.amplitude), ("x0", self.x0), ("y0", self.y0)):
+        for key, value in (("amplitude", self.amplitude), ("x0", self.x0), ("y0", self.y0),
+                           ("sigma", self.sigma)):
             if value is not None and not abs(value) < math.inf:
                 raise ValueError(f"source {key} must be finite, got {value}")
         if self.sigma is not None and not self.sigma > 0:
@@ -321,8 +322,9 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
     check_levels([n])
     u = read_field(u_path)
     k = read_field(k_path)
-    if u.grid != cfg.grid or k.grid != cfg.grid:
-        raise ValueError("stored fields do not match the configured grid")
+    for path, field in ((u_path, u), (k_path, k)):
+        if field.grid != cfg.grid:
+            raise ValueError(f"{path}: dump grid {field.grid} differs from the configured grid {cfg.grid}")
     negative = np.count_nonzero(k.values < 0)
     if negative:
         raise ValueError(f"{k_path}: k < 0 in {negative} of {k.values.size} cells; "

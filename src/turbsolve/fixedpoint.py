@@ -81,12 +81,12 @@ class PicardConfig:
 
     def __post_init__(self):
         # each check is written to fail on NaN as well
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not (_is_integer(self.max_outer) and self.max_outer >= 1):
             raise ValueError(f"max_outer must be a positive integer, got {self.max_outer!r}")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
+        if not 0 < self.inner_tol < np.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
 
 
 @dataclass
@@ -152,7 +152,7 @@ def _clamp(values: np.ndarray):
 
 def solve_u_given_k(
     k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL,
-    u0: Optional[ScalarField] = None, loose_tol: Optional[float] = None,
+    u0: Optional[ScalarField] = None, loose_tol: float = 0.0,
 ) -> tuple[ScalarField, LinearSolveReport]:
     """u-solve with frozen coefficient min(n, nu(k)), the inner solve started from u0.
 
@@ -167,7 +167,7 @@ def solve_u_given_k(
 
 def solve_k_given_u(
     u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL,
-    loose_tol: Optional[float] = None,
+    loose_tol: float = 0.0,
 ) -> KStep:
     """One lagged k-update: coefficient and source frozen at k_lag.
 
@@ -186,7 +186,7 @@ def solve_k_given_u(
 
 def kirchhoff_k_solve(
     u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL,
-    loose_tol: Optional[float] = None,
+    loose_tol: float = 0.0,
 ) -> KStep:
     """Alternative k-update through the flux transform.
 
@@ -208,7 +208,7 @@ def kirchhoff_k_solve(
 
 def _chi_k_step(
     f: ScalarField, u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int,
-    inner_tol: float = INNER_TOL, loose_tol: Optional[float] = None,
+    inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
     """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - (gamma/2) u^2).
 
@@ -276,7 +276,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     clamp_total = 0
     increment = float("inf")
     prev_increment = float("inf")
-    loose_tol = None  # stop target of the next inner solves; None runs them to inner_tol
+    loose_tol = 0.0  # stop target of the next inner solves; 0 runs them to inner_tol
     converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
@@ -299,7 +299,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         # after the first iteration prev_increment is inf, so rho = 0 keeps the second tight
         rho = _ratio(increment, prev_increment)
         rel = max(_ratio(du, linf_norm(u)), _ratio(dk, linf_norm(k)))
-        loose_tol = FORCING * rho * rel if increment > cfg.tol else None
+        loose_tol = FORCING * rho * rel if increment > cfg.tol else 0.0
         prev_increment = increment
 
     if converged:

@@ -126,9 +126,8 @@ def solve_spd(
     A: DiffusionOperator,
     b: ScalarField,
     tol: float = INNER_TOL,
-    max_iter: int | None = None,
     x0: ScalarField | None = None,
-    loose_tol: float | None = None,
+    loose_tol: float = 0.0,
 ) -> tuple[ScalarField, LinearSolveReport]:
     """Solve A x = b to ||Ax-b||/||b|| <= tol (absolute residual when b=0).
 
@@ -144,28 +143,27 @@ def solve_spd(
     BLAS, whose summation order may depend on its thread count, so the last
     bits can differ between thread counts.  The work vectors are allocated
     once per call and updated in place.  Raises LinearSolveError when the
-    iteration budget runs out.
+    budget of 10 * nx * ny iterations runs out.
     """
-    if not tol > 0:  # fails on NaN as well
-        raise ValueError("tolerance must be positive")
-    if loose_tol is not None and not loose_tol >= 0:
+    if not 0 < tol < np.inf:  # fails on NaN as well
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not loose_tol >= 0:
         raise ValueError("loose tolerance must be nonnegative")
     if b.grid != A.grid:
         raise ValueError("right-hand side lives on a different grid")
     if x0 is not None and x0.grid != A.grid:
         raise ValueError("initial guess lives on a different grid")
     g = A.grid
-    if max_iter is None:
-        max_iter = 10 * g.nx * g.ny
+    budget = 10 * g.nx * g.ny
 
     rhs = b.values
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return ScalarField.zeros(g), LinearSolveReport(0, 0.0)
 
-    stop = tol if loose_tol is None else max(tol, loose_tol)
+    stop = max(tol, loose_tol)
     M = poisson_inverse(g)
-    Ap, tmp = np.empty(g.shape), np.empty(g.shape)
+    p, z, Ap, tmp = (np.empty(g.shape) for _ in range(4))
     if x0 is None:
         x = np.zeros(g.shape)
         r = rhs.copy()
@@ -175,13 +173,18 @@ def solve_spd(
     res = float(np.linalg.norm(r)) / bnorm
     if res <= tol:
         return ScalarField(g, x), LinearSolveReport(0, res)
-    z = M.apply(r, np.empty(g.shape), tmp)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    iterations = 0
+    restart = True  # the next direction is the preconditioned residual itself
 
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, budget + 1):
+        M.apply(r, z, tmp)
+        rz_new = float(np.vdot(r, z))
+        if restart:
+            p[...] = z
+            restart = False
+        else:
+            p *= rz_new / rz
+            p += z
+        rz = rz_new
         A.apply(p, out=Ap)
         pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:
@@ -194,27 +197,18 @@ def solve_spd(
         r -= np.multiply(Ap, alpha, out=tmp)
         res = float(np.linalg.norm(r)) / bnorm
         if res <= stop:
-            # certify against the true residual; refresh and continue if
-            # the recursion drifted
+            # certify against the true residual; restart from it if the
+            # recursion drifted
             np.subtract(rhs, A.apply(x, out=tmp), out=tmp)
             res_true = float(np.linalg.norm(tmp)) / bnorm
             if res_true <= stop:
                 return ScalarField(g, x), LinearSolveReport(iterations, res_true)
             r, tmp = tmp, r
             res = res_true
-            M.apply(r, z, tmp)
-            p[...] = z
-            rz = float(np.vdot(r, z))
-            continue
-        M.apply(r, z, tmp)
-        rz_new = float(np.vdot(r, z))
-        beta = rz_new / rz
-        p *= beta
-        p += z
-        rz = rz_new
+            restart = True
 
     raise LinearSolveError(
-        f"conjugate gradients did not reach {stop:g} in {max_iter} iterations "
+        f"conjugate gradients did not reach {stop:g} in {budget} iterations "
         f"(relative residual {res:g})",
         LinearSolveReport(iterations, res),
     )

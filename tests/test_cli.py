@@ -9,6 +9,7 @@ import pytest
 
 from turbsolve import HypothesisViolation, PicardConfig, ScalarField, ViscosityModel, cli, make_grid, n_sweep
 from turbsolve.cli import _KEYS, Source, config_echo, load_config, main, read_field, write_field
+from turbsolve.verify import manufactured_forcing
 
 BASE = """
 [grid]
@@ -110,6 +111,21 @@ def test_solve_writes_outputs(tmp_path):
     k = read_field(out / "k.txt")
     assert u.grid.nx == 17
     assert k.values.min() >= 0.0
+
+
+def test_solve_on_the_manufactured_load(tmp_path, monkeypatch):
+    text = re.sub(r"x0 = .*\ny0 = .*\nsigma = .*\n", "", BASE).replace("preset = gaussian",
+                                                                        "preset = manufactured")
+    loads = []
+    sweep = cli.n_sweep
+    monkeypatch.setattr(cli, "n_sweep", lambda m, f, *args, **kw: loads.append(f) or sweep(m, f, *args, **kw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    g = make_grid(17, 17, 1.0, 1.0)
+    [load] = loads
+    assert load.grid == g and np.array_equal(load.values, manufactured_forcing(g, 1.0).values)
+    [report] = json.loads((out / "report.json").read_text())["reports"]
+    assert report["converged"] is True
 
 
 def test_sweep_outputs_and_determinism(tmp_path):
@@ -625,6 +641,17 @@ class TestVerifyInput:
         assert capsys.readouterr().err.startswith(f"error: {dumps[missing]}: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("other", ["u", "k"])
+    def test_dump_of_another_grid(self, tmp_path, capsys, other):
+        dumps = dict(zip("uk", write_zero_dumps(tmp_path)))
+        g = make_grid(9, 17, 1.0, 1.0)
+        write_field(dumps[other], ScalarField.zeros(g))
+        assert run_verify(tmp_path, dumps["u"], dumps["k"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {dumps[other]}: dump grid {g} differs from the configured grid "
+                       f"{make_grid(17, 17, 1.0, 1.0)}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_dump_with_nan_edge(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path)
         lines = Path(u).read_text().splitlines()
@@ -699,7 +726,8 @@ class TestSourceConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("amplitude", math.nan), ("x0", math.inf), ("y0", math.nan), ("amplitude", -math.inf),
-    ], ids=["amplitude-nan", "x0-inf", "y0-nan", "amplitude-minus-inf"])
+        ("sigma", math.inf),
+    ], ids=["amplitude-nan", "x0-inf", "y0-nan", "amplitude-minus-inf", "sigma-inf"])
     def test_rejects_non_finite_load_settings(self, key, value):
         with pytest.raises(ValueError, match=f"source {key} must be finite"):
             Source(preset="gaussian", **{key: value})

@@ -190,6 +190,13 @@ class TestPicard:
         with pytest.raises(ValueError, match=r"^max_outer must be a positive integer, got "):
             PicardConfig(max_outer=max_outer)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("key", ["tol", "inner_tol"])
+    def test_tolerances_must_be_finite(self, key, value):
+        # an infinite tol or inner_tol would certify the first iterate as converged
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite, got "):
+            PicardConfig(**{key: value})
+
     def test_nonconvergence_reported_not_raised(self):
         g = make_grid(17, 17, 1.0, 1.0)
         u, k, report = picard_solve(HP_UNIT, 8, gaussian_source(g),
@@ -262,8 +269,12 @@ class TestCheckRoute:
          "^H2: "),
         (lambda f: chi_decoupled_solve(NO_GAMMA, 4, f, PicardConfig()), HypothesisViolation,
          "^H2: "),
+        (lambda f: picard_solve(HP_UNIT, 4, f, PicardConfig(), k_update="chi"), ValueError,
+         "unknown k_update 'chi'"),
+        (lambda f: picard_solve(HP_UNIT, 4, f, PicardConfig(), k_update="magic"), ValueError,
+         "unknown k_update 'magic'"),
     ], ids=["unknown-check_route", "unknown-n_sweep", "chi-check_route", "chi-n_sweep",
-            "chi-chi_decoupled_solve"])
+            "chi-chi_decoupled_solve", "chi-picard_solve", "unknown-picard_solve"])
     def test_raises_before_any_solve(self, monkeypatch, call, error, match):
         f = gaussian_source(make_grid(8, 8, 1.0, 1.0))
         solves = count_calls(monkeypatch, fixedpoint.solve_spd)
@@ -375,7 +386,7 @@ class TestKirchhoffRoute:
         kirchhoff_k_solve(u, ScalarField.full(g, 0.5), HP_UNIT, 8)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("loose_tol", [None, 1e-3])
+    @pytest.mark.parametrize("loose_tol", [0.0, 1e-3])
     def test_one_poisson_iteration_and_no_forward_transform(self, monkeypatch, loose_tol):
         # the Poisson solve starts from zero, not from A(k_lag), and the exact
         # preconditioner finishes it in one CG iteration

@@ -134,12 +134,13 @@ class TestSolve:
         assert weighted_energy(c, x) == pytest.approx(quad * g.cell_area, rel=1e-12)
 
     def test_nonconvergence_raises_with_report(self):
+        # 1e-17 lies below the rounding floor, so CG spends its whole 10 * nx * ny budget
         g, c, A, rng = random_operator(seed=3)
         b = ScalarField(g, rng.standard_normal(g.shape))
-        with pytest.raises(LinearSolveError) as info:
-            solve_spd(A, b, tol=1e-14, max_iter=2)
-        assert info.value.report.iterations == 2
-        assert info.value.report.relative_residual > 1e-14
+        with pytest.raises(LinearSolveError, match="in 630 iterations") as info:
+            solve_spd(A, b, tol=1e-17)
+        assert info.value.report.iterations == 630 == 10 * g.nx * g.ny
+        assert info.value.report.relative_residual > 1e-17
 
     def test_residual_contract(self):
         g, c, A, rng = random_operator(seed=12)
@@ -155,11 +156,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_spd(A, ScalarField.zeros(g), tol=0.0)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("-inf")], ids=repr)
+    @pytest.mark.parametrize("tol", [float("nan"), float("-inf"), float("inf")], ids=repr)
     def test_rejects_a_tolerance_that_is_not_positive(self, tol):
-        # a NaN tolerance used to reach CG, which reported a breakdown
+        # a NaN tolerance used to reach CG, which reported a breakdown; an
+        # infinite one would return the start as a solution
         g = make_grid(17, 17, 1.0, 1.0)
-        with pytest.raises(ValueError, match="tolerance must be positive"):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             solve_spd(assemble(ScalarField.full(g, 1.0)), ScalarField.full(g, 1.0), tol=tol)
 
     def test_deterministic(self):
