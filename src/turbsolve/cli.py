@@ -338,6 +338,9 @@ def run_verify(cfg: RunConfig, out: Path, u_path, k_path, n: int) -> int:
 
 
 def run_mms(cfg: RunConfig, out: Path, sizes) -> int:
+    # a ratio needs two sizes, and a halving sequence runs from coarse to fine
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"--sizes must name at least two grid sizes in ascending order, got {sizes}")
     # the check runs a constant model built from nu1
     if cfg.model.kind == "table" or cfg.model.nu2 != 0.0:
         raise ValueError("the manufactured-solution check needs nu constant at nu1: "

@@ -31,7 +31,9 @@ level.  The inner solves are inexact in the sense of inexact Newton
 methods (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996): an
 iterate that the next outer iteration will overwrite is solved only to a
 tenth of the predicted next increment, and convergence is certified only
-by an iteration whose inner solves all met the full inner tolerance.
+by an iteration whose inner solves all certify: each met the full inner
+tolerance or stopped at its rounding floor (see
+:func:`~turbsolve.linsolve.solve_spd`).
 Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
 (solve -Lap K = source with K = A(k) from zero, which the exact Poisson
@@ -256,8 +258,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     """Picard iteration alternating the u-solve and ``k_step``.
 
     Stops when max(|du|_inf, |dk|_inf) <= tol in an iteration whose inner
-    solves all certified ``cfg.inner_tol``.  The inner solves of the other
-    iterations are inexact: once a contraction ratio rho = increment_j /
+    solves all certify: each met ``cfg.inner_tol`` or stopped at the
+    rounding floor, where no smaller residual can be computed.  The inner
+    solves of the other iterations are inexact: once a contraction ratio rho = increment_j /
     increment_{j-1} has been measured, each may stop at relative residual
     FORCING * min(1, rho) * min(1, rel), rel the last relative increment
     max(|du|/|u|, |dk|/|k|), a tenth of the predicted next one (never below
@@ -270,8 +273,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     iterate, so one whose start already meets inner_tol costs a single
     matvec and no CG iteration.  Returns (u, k, report, last KStep).
     """
-    u = u0.copy() if u0 is not None else ScalarField.zeros(f.grid)
-    k = k0.copy() if k0 is not None else ScalarField.zeros(f.grid)
+    # used as given: nothing writes a start (solve_spd copies x0, and the loop rebinds u and k)
+    u = u0 if u0 is not None else ScalarField.zeros(f.grid)
+    k = k0 if k0 is not None else ScalarField.zeros(f.grid)
     omega = 1.0
     clamp_total = 0
     increment = float("inf")
@@ -289,7 +293,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         du = linf_norm(ScalarField(u.grid, u_new.values - u.values))
         dk = linf_norm(ScalarField(k.grid, k_new.values - k.values))
         increment = max(du, dk)
-        certified = max(u_solve.relative_residual, kstep.report.relative_residual) <= cfg.inner_tol
+        certified = all(r.relative_residual <= cfg.inner_tol or r.at_floor
+                        for r in (u_solve, kstep.report))
         u, k = u_new, k_new
         if increment <= cfg.tol and certified:
             converged = True

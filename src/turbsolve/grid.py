@@ -105,9 +105,6 @@ class ScalarField:
         X, Y = grid.cell_centers()
         return cls(grid, np.asarray(fn(X, Y), dtype=np.float64))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 def integrate(v: ScalarField) -> float:
     """Midpoint rule: sum of cell values times cell area."""

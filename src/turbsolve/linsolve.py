@@ -16,10 +16,13 @@ condition number at most c_max/c_min at every mesh width (Concus & Golub
 inverted by tensor-product fast diagonalisation (Lynch, Rice & Thomas
 1964): the 1D cell-centred operator with mirror ghosts has the DST-II
 eigenbasis.  Convergence is certified against the *recomputed* residual,
-never the recursion residual alone, and non-convergence raises instead of
-returning a partial answer.
+never the recursion residual alone.  A solve that cannot reach its
+tolerance either stops at the rounding floor, with a normwise backward
+error of a few eps (Rigal & Gaches 1967; Higham 2002, ch. 7), or raises
+instead of returning a partial answer.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,11 +33,16 @@ from .grid import Grid, ScalarField
 
 INNER_TOL = 1e-12
 
+# Largest normwise backward error of a solve that stops at its rounding floor
+FLOOR_BACKWARD_ERROR = 16 * float(np.finfo(float).eps)
+
 
 @dataclass
 class LinearSolveReport:
     iterations: int
     relative_residual: float
+    at_floor: bool = False  # stopped at the rounding floor, above tol
+    backward_error: float | None = None  # inf-norm ||r|| / (||A|| ||x|| + ||b||), measured at a stall only
 
 
 class LinearSolveError(RuntimeError):
@@ -71,6 +79,15 @@ class DiffusionOperator:
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         return _kernels.diffusion_matvec(v, self.wx, self.wy, self.wd, out, self._t)
+
+    def norm_inf(self) -> float:
+        """||A||_inf, the largest absolute row sum: wd plus twice the weights of the cell's faces."""
+        rows = self.wd.copy()
+        for w in (self.wx, self.wy):
+            s = rows.size - w.size
+            rows[:-s] += 2.0 * w
+            rows[s:] += 2.0 * w
+        return float(rows.max())
 
 
 def _dst2_basis(n: int, h: float):
@@ -129,7 +146,7 @@ def solve_spd(
     x0: ScalarField | None = None,
     loose_tol: float = 0.0,
 ) -> tuple[ScalarField, LinearSolveReport]:
-    """Solve A x = b to ||Ax-b||/||b|| <= tol (absolute residual when b=0).
+    """Solve A x = b to ||Ax-b||/||b|| <= tol (x = 0 when b = 0).
 
     Starts from x0 when given (zero otherwise) and returns after 0
     iterations when the residual of that start already meets tol.  A
@@ -138,12 +155,29 @@ def solve_spd(
     start that misses tol takes at least one iteration, and the report's
     ``relative_residual`` tells the caller whether tol itself was met.  The
     preconditioner is the exact inverse of A(1) (see the module docstring).
+
+    The solve is scale-free: b and x0 are divided by 2^e, the power of two
+    at or above max|b|, and x is multiplied back on return.  Both steps are
+    exact, so every iterate is that of the unit-scale load, and no norm
+    overflows or underflows at any load scale.
+
+    Each recursion residual that meets the stop target is checked against
+    the recomputed true residual; a failed check restarts CG from the true
+    residual.  When the true residual has not halved since the previous
+    failed check, the solve is at its rounding floor (Greenbaum 1997).
+    It then returns a report marked ``at_floor`` when the normwise backward
+    error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at most
+    FLOOR_BACKWARD_ERROR: x is then as good as rounding allows, and the
+    report's ``relative_residual`` lies above the stop target.  A larger
+    backward error raises LinearSolveError naming the stall.
+
     Deterministic at a fixed BLAS thread count: fixed iteration order.  The
     dot products, norms and the preconditioner's matrix products go through
     BLAS, whose summation order may depend on its thread count, so the last
     bits can differ between thread counts.  The work vectors are allocated
-    once per call and updated in place.  Raises LinearSolveError when the
-    budget of 10 * nx * ny iterations runs out.
+    once per call and updated in place.  Raises LinearSolveError at the
+    first residual that is not finite, and when the budget of 10 * nx * ny
+    iterations runs out.
     """
     if not 0 < tol < np.inf:  # fails on NaN as well
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -156,24 +190,30 @@ def solve_spd(
     g = A.grid
     budget = 10 * g.nx * g.ny
 
-    rhs = b.values
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
+    bmax = float(np.max(np.abs(b.values)))
+    if bmax == 0.0:
         return ScalarField.zeros(g), LinearSolveReport(0, 0.0)
+    e = math.frexp(bmax)[1]  # 2^e is the power of two at or above max|b|
+    rhs = np.ldexp(b.values, -e)
+    bnorm = float(np.linalg.norm(rhs))
+
+    def relative(v, iterations):
+        res = float(np.linalg.norm(v)) / bnorm
+        if not math.isfinite(res):
+            raise LinearSolveError(f"conjugate gradients met a residual that is not finite "
+                                   f"after {iterations} iterations", LinearSolveReport(iterations, res))
+        return res
 
     stop = max(tol, loose_tol)
     M = poisson_inverse(g)
     p, z, Ap, tmp = (np.empty(g.shape) for _ in range(4))
-    if x0 is None:
-        x = np.zeros(g.shape)
-        r = rhs.copy()
-    else:
-        x = x0.values.copy()
-        r = np.subtract(rhs, A.apply(x, out=tmp))
-    res = float(np.linalg.norm(r)) / bnorm
+    x = np.zeros(g.shape) if x0 is None else np.ldexp(x0.values, -e)
+    r = np.subtract(rhs, A.apply(x, out=tmp))
+    res = relative(r, 0)
     if res <= tol:
-        return ScalarField(g, x), LinearSolveReport(0, res)
+        return ScalarField(g, np.ldexp(x, e)), LinearSolveReport(0, res)
     restart = True  # the next direction is the preconditioned residual itself
+    failed = math.inf  # true relative residual at the last failed check
 
     for iterations in range(1, budget + 1):
         M.apply(r, z, tmp)
@@ -195,14 +235,25 @@ def solve_spd(
         alpha = rz / pAp
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(Ap, alpha, out=tmp)
-        res = float(np.linalg.norm(r)) / bnorm
+        res = relative(r, iterations)
         if res <= stop:
             # certify against the true residual; restart from it if the
             # recursion drifted
             np.subtract(rhs, A.apply(x, out=tmp), out=tmp)
-            res_true = float(np.linalg.norm(tmp)) / bnorm
+            res_true = relative(tmp, iterations)
             if res_true <= stop:
-                return ScalarField(g, x), LinearSolveReport(iterations, res_true)
+                return ScalarField(g, np.ldexp(x, e)), LinearSolveReport(iterations, res_true)
+            if res_true > 0.5 * failed:  # no halving since the last failed check: a stall
+                backward = float(np.max(np.abs(tmp))) / (
+                    A.norm_inf() * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+                report = LinearSolveReport(iterations, res_true, backward <= FLOOR_BACKWARD_ERROR,
+                                           backward)
+                if report.at_floor:
+                    return ScalarField(g, np.ldexp(x, e)), report
+                raise LinearSolveError(
+                    f"conjugate gradients stalled at relative residual {res_true:g} above {stop:g}, "
+                    f"with backward error {backward:g} above the rounding floor", report)
+            failed = res_true
             r, tmp = tmp, r
             res = res_true
             restart = True

@@ -9,6 +9,7 @@ import pytest
 
 from turbsolve import HypothesisViolation, PicardConfig, ScalarField, ViscosityModel, cli, make_grid, n_sweep
 from turbsolve.cli import _KEYS, Source, config_echo, load_config, main, read_field, write_field
+from turbsolve.linsolve import LinearSolveError, LinearSolveReport
 from turbsolve.verify import manufactured_forcing
 
 BASE = """
@@ -42,6 +43,15 @@ route = direct
 
 [sweep]
 n_list = 1 2 4
+"""
+
+
+# a rises from 1 to 1e8 over 0.05 <= s <= 0.05002
+STEEP_TABLE = """kind = table
+delta = 1.0
+table_s = 0 0.05 0.05002 1
+table_nu = 1 1 1 1
+table_a = 1 1 1e8 1
 """
 
 
@@ -210,21 +220,15 @@ def test_out_naming_a_file(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_failed_solve_leaves_no_out(tmp_path, capsys, command):
-    # the direct route's inner CG fails on this steep table at a high level;
+def test_failed_solve_leaves_no_out(tmp_path, capsys, monkeypatch, command):
     # --out is made only once the solve or sweep has returned
-    model = """kind = table
-delta = 1.0
-table_s = 0 0.05 0.05002 1
-table_nu = 1 1 1 1
-table_a = 1 1 1e8 1
-"""
-    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", model)
-    text = text.replace("n_list = 1 2 4", "n_list = 1000000000").replace(
-        "amplitude = 1.0", "amplitude = 50.0")
+    def failing(*args, **kwargs):
+        raise LinearSolveError("conjugate gradients stalled", LinearSolveReport(3, 1e-9))
+
+    monkeypatch.setattr(cli, "n_sweep", failing)
     out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("linear solve failed: ")
+    assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "linear solve failed: conjugate gradients stalled\n"
     assert not out.exists()
 
 
@@ -257,6 +261,25 @@ def test_unconverged_level_exits_1_after_every_output(tmp_path, capsys, command,
     assert [int(t) for t in named.split(",")] == [r["n"] for r in unconverged]
     increments = err.split("(last increments ")[1].rstrip(")\n").split(", ")
     assert increments == [f"{r['final_increment']:g}" for r in unconverged]
+
+
+@pytest.mark.parametrize("command, table, reports, dumps", [
+    ("solve", "solve.csv", "report.json", ["k.txt", "u.txt"]),
+    ("sweep", "sweep.csv", "reports.json", ["k_n1000000000.txt", "u_n1000000000.txt"]),
+])
+def test_steep_table_ends_unconverged_with_every_output(tmp_path, capsys, command, table, reports,
+                                                        dumps):
+    # the k-operator's condition number is 1.8e9, so the direct route's inner
+    # CG stops at its rounding floor; it used to raise there and write nothing
+    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", STEEP_TABLE)
+    text = text.replace("n_list = 1 2 4", "n_list = 1000000000").replace(
+        "amplitude = 1.0", "amplitude = 50.0")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert re.search(UNCONVERGED[command], capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == sorted([table, reports, *dumps])
+    [level] = json.loads((out / reports).read_text())["reports"]
+    assert not level["converged"] and level["outer_iterations"] == 200
 
 
 def test_out_under_a_file(tmp_path, capsys):
@@ -311,13 +334,7 @@ def test_verify_json_is_strict_for_r_at_least_3(tmp_path):
 def test_steep_table_kirchhoff_solve(tmp_path, capsys):
     # a rises to 1e8 over 2e-5: the step of A between neighbouring floats s
     # is near 1e-12 * A there, so an inverse that iterates to a tolerance on A can fail
-    model = """kind = table
-delta = 1.0
-table_s = 0 0.05 0.05002 1
-table_nu = 1 1 1 1
-table_a = 1 1 1e8 1
-"""
-    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", model)
+    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", STEEP_TABLE)
     text = text.replace("route = direct", "route = kirchhoff").replace("amplitude = 1.0", "amplitude = 50.0")
     out = tmp_path / "out"
     assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
@@ -367,6 +384,18 @@ def test_mms_run_that_does_not_converge(tmp_path, capsys):
     assert main(["mms", "--config", write_config(tmp_path, text), "--out", str(out),
                  "--sizes", "9", "17"]) == 1
     assert capsys.readouterr().err == "error: manufactured run failed to converge on 9x9\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [["17"], ["33", "17", "9"]], ids=" ".join)
+def test_mms_rejects_sizes_that_certify_nothing(tmp_path, capsys, sizes):
+    # one size has no ratio, and a descending sequence inverts every ratio
+    text = BASE.replace("kind = physical_sqrt", "kind = constant").replace(
+        "nu2 = 1.0", "nu2 = 0.0").replace("a2 = 1.0", "a2 = 0.0")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", write_config(tmp_path, text), "--out", str(out),
+                 "--sizes", *sizes]) == 2
+    assert capsys.readouterr().err.startswith("error: --sizes must name at least two grid sizes")
     assert not out.exists()
 
 

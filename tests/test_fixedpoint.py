@@ -28,7 +28,7 @@ from turbsolve import (
     sqrt_nu_seminorm,
 )
 from turbsolve import coeffs, fixedpoint
-from turbsolve.linsolve import INNER_TOL
+from turbsolve.linsolve import INNER_TOL, DiffusionOperator
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
@@ -499,3 +499,50 @@ class TestInexactInnerSolves:
         assert loose_but_small and loose_but_small[0] < report.outer_iterations
         # ... to an iteration whose inner solves all certified inner_tol
         assert max(r for _, r in solves[-3:-1]) <= cfg.inner_tol
+
+
+class TestRoundingFloor:
+    def test_cold_solve_at_321_ends_at_the_floor(self, monkeypatch):
+        # eps * cond(A) grows like h^-2: from about 321^2 on, certifying inner
+        # solves stall just above inner_tol = 1e-12.  They used to restart
+        # until their 10 * nx * ny budget (about 1e6 CG iterations) ran out.
+        matvecs, floors = [], []
+        apply, solve = DiffusionOperator.apply, fixedpoint.solve_spd
+
+        def counting_apply(self, *args, **kwargs):
+            matvecs.append(1)
+            assert len(matvecs) <= 2000, "the inner solves spin at their floor"
+            return apply(self, *args, **kwargs)
+
+        def recording_solve(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            if report.at_floor:
+                floors.append(report)
+            return x, report
+
+        monkeypatch.setattr(DiffusionOperator, "apply", counting_apply)
+        monkeypatch.setattr(fixedpoint, "solve_spd", recording_solve)
+        g = make_grid(321, 321, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
+        _, _, report = picard_solve(HP_UNIT, 256, f, PicardConfig(tol=1e-10))
+        assert report.converged
+        assert floors and all(INNER_TOL < r.relative_residual < 10 * INNER_TOL for r in floors)
+
+
+class TestWarmStarts:
+    @pytest.mark.parametrize("route", ["direct", "kirchhoff", "chi"])
+    def test_read_only_warm_starts_stay_unchanged(self, route):
+        # the Picard iteration uses u0 and k0 as given, without copies; a write would raise
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0)
+        cfg = PicardConfig(tol=1e-10)
+        u0, k0, _ = picard_solve(HP_UNIT, 2, f, cfg)
+        before = (u0.values.copy(), k0.values.copy())
+        for field in (u0, k0):
+            field.values.flags.writeable = False
+        if route == "chi":
+            _, _, _, report = chi_decoupled_solve(HP_UNIT, 8, f, cfg, u0=u0, k0=k0)
+        else:
+            _, _, report = picard_solve(HP_UNIT, 8, f, cfg, u0=u0, k0=k0, k_update=route)
+        assert report.converged
+        assert np.array_equal(u0.values, before[0]) and np.array_equal(k0.values, before[1])

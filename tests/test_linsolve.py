@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from turbsolve import (
 )
 from turbsolve._kernels import face_gradients
 from turbsolve.grid import face_average
-from turbsolve.linsolve import INNER_TOL, poisson_inverse
+from turbsolve.linsolve import FLOOR_BACKWARD_ERROR, INNER_TOL, DiffusionOperator, poisson_inverse
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 
@@ -133,14 +134,72 @@ class TestSolve:
         assert abs(quad - load) <= 10 * bound + 1e-14
         assert weighted_energy(c, x) == pytest.approx(quad * g.cell_area, rel=1e-12)
 
-    def test_nonconvergence_raises_with_report(self):
-        # 1e-17 lies below the rounding floor, so CG spends its whole 10 * nx * ny budget
+    def test_tol_below_floor_returns_at_floor(self):
+        # 1e-17 lies below the rounding floor; CG used to restart there until
+        # its whole 10 * nx * ny budget of 630 iterations was spent
         g, c, A, rng = random_operator(seed=3)
         b = ScalarField(g, rng.standard_normal(g.shape))
-        with pytest.raises(LinearSolveError, match="in 630 iterations") as info:
-            solve_spd(A, b, tol=1e-17)
-        assert info.value.report.iterations == 630 == 10 * g.nx * g.ny
-        assert info.value.report.relative_residual > 1e-17
+        x, report = solve_spd(A, b, tol=1e-17)
+        assert report.at_floor and report.relative_residual > 1e-17
+        assert report.iterations <= 50 < 630 == 10 * g.nx * g.ny
+        assert report.backward_error <= FLOOR_BACKWARD_ERROR
+        r = b.values - A.apply(x.values)
+        assert report.relative_residual == np.linalg.norm(r) / np.linalg.norm(b.values)
+        backward = np.max(np.abs(r)) / (A.norm_inf() * linf_norm(x) + linf_norm(b))
+        assert backward == pytest.approx(report.backward_error, rel=1e-12)
+
+    def test_stall_above_floor_raises(self):
+        # an apply with relative noise of 1e-10 keeps the true residual near
+        # 1e-10: the solve stalls far above the rounding floor
+        g, c, A, rng = random_operator(seed=3)
+        noise = np.random.default_rng(0)
+
+        class Noisy(DiffusionOperator):
+            def apply(self, v, out=None):
+                out = super().apply(v, out)
+                out *= 1.0 + 1e-10 * noise.standard_normal(out.shape)
+                return out
+
+        b = ScalarField(g, rng.standard_normal(g.shape))
+        with pytest.raises(LinearSolveError, match="stalled at relative residual") as info:
+            solve_spd(Noisy(g, A.wx, A.wy, A.wd), b, tol=1e-12)
+        report = info.value.report
+        assert not report.at_floor and report.relative_residual > 1e-12
+        assert report.backward_error > FLOOR_BACKWARD_ERROR
+        assert report.iterations < 630
+
+    def test_norm_inf_is_the_largest_absolute_row_sum(self):
+        g, c, A, _ = random_operator(seed=4)
+        dense = np.column_stack([A.apply(e.reshape(g.shape)).ravel() for e in np.eye(g.nx * g.ny)])
+        assert A.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-14)
+
+    @pytest.mark.parametrize("amplitude", [1e160, 1e300, 1e-150, 1e-165, 1e-300], ids=repr)
+    def test_any_load_scale_solves_as_the_unit_load(self, amplitude):
+        # norms used to overflow above about 1e154 (NaN iterations to the
+        # budget) and underflow below about 1e-154 (x = 0 reported as solved)
+        g = make_grid(17, 17, 1.0, 1.0)
+        A = assemble(ScalarField.full(g, 1.0))
+        unit, unit_report = solve_spd(A, ScalarField.full(g, 1.0))
+        b = ScalarField.full(g, amplitude)
+        x, report = solve_spd(A, b)
+        assert report.iterations == unit_report.iterations
+        assert np.max(np.abs(x.values / amplitude - unit.values)) <= 1e-15 * linf_norm(unit)
+        # the true relative residual, evaluated at a power-of-two scale where no norm overflows
+        e = math.frexp(amplitude)[1]
+        r = np.ldexp(b.values, -e) - A.apply(np.ldexp(x.values, -e))
+        true = np.linalg.norm(r) / np.linalg.norm(np.ldexp(b.values, -e))
+        assert 0.0 < true <= INNER_TOL and report.relative_residual == true
+
+    def test_non_finite_residual_raises_after_one_iteration(self):
+        # wall weights near the float maximum on a wide domain: the first
+        # matvec overflows, and CG used to iterate on NaN to its budget
+        g = make_grid(17, 17, 1e3, 1e3)
+        A = assemble(ScalarField.full(g, 1.0))
+        huge = DiffusionOperator(g, A.wx, A.wy, np.full(A.wd.size, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LinearSolveError, match="not finite after 1 iterations") as info:
+                solve_spd(huge, ScalarField.full(g, 1.0))
+        assert info.value.report.iterations == 1
 
     def test_residual_contract(self):
         g, c, A, rng = random_operator(seed=12)
