@@ -5,10 +5,10 @@ Subcommands: ``solve`` (one coupled pair at a single truncation level),
 fields), ``mms`` (manufactured-solution convergence table).
 
 Configs are INI-style key/value sections (diff-friendly); see the README
-for the full schema.  Outputs are CSV tables, JSON reports and plain-text
-field dumps with a 3-line header (nx, ny, "lx ly") and 17-significant-
-digit values, so identical configs reproduce byte-identical files at a
-fixed BLAS thread count.
+for the full schema.  Outputs are CSV tables, JSON reports and text field
+dumps: a 3-line header (nx, ny, "lx ly") and one fixed-width hexadecimal
+float token per value, exact for every float64.  Identical configs
+reproduce byte-identical files at a fixed BLAS thread count.
 """
 
 import argparse
@@ -19,7 +19,6 @@ import json
 import math
 import shutil
 import sys
-import warnings
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -198,31 +197,136 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 # -- field dumps ---------------------------------------------------------
+#
+# A dump is a 3-line header (nx, ny, "lx ly") and ny rows of nx tokens.  Each
+# token is the exact hexadecimal form of one float64 (C99 "%a"), 24 bytes
+# wide and followed by a space, or by a newline at the end of its row.  Tokens
+# are built from the values' bytes, and read back into them, by table lookups
+# over whole arrays; a 2-character table entry is the little-endian uint16
+# of its two characters.
+
+_TOKEN = 24  # bytes per token, its separator aside
+_TOKEN_FORM = "[+-]0x[01].<13 lowercase hex digits>p[+-]<4 decimal digits>"
+
+
+def _pairs(texts: list) -> np.ndarray:
+    """Each text as a row of uint16 character pairs."""
+    return np.frombuffer("".join(texts).encode(), "<u2").reshape(len(texts), -1)
+
+
+_HEX = "0123456789abcdef"
+# characters 0-5, by sign, lead digit and first mantissa digit
+_HEAD = _pairs([f"{s}0x{lead}.{h}" for s in "+-" for lead in "01" for h in _HEX])
+# characters 6-17, two per mantissa byte
+_BYTE = _pairs([f"{b:02x}" for b in range(256)])[:, 0]
+# characters 18-23, by biased exponent; 0 is a subnormal and 2047, never finite, a zero
+_TAIL = _pairs(["p-1022"] + [f"p{b - 1023:+05d}" for b in range(1, 2047)] + ["p+0000"])
+# the inverse lookups; text that no token holds reads as 0, and the re-encoding check rejects it
+_UNBYTE = np.zeros(1 << 16, np.uint8)
+_UNBYTE[_BYTE] = np.arange(256)
+_UNDIGITS = np.zeros(1 << 16, np.int16)
+_UNDIGITS[_pairs([f"{d:02d}" for d in range(100)])[:, 0]] = np.arange(100)
+_UNHEX = np.zeros(256, np.uint8)
+_UNHEX[np.frombuffer(_HEX.encode(), np.uint8)] = np.arange(16)
+
+
+def _tokens(rows: np.ndarray) -> np.ndarray:
+    """The dump body of ``rows`` as (ny, nx, 25) bytes: each value's token and separator."""
+    ny, nx = rows.shape
+    b = np.ascontiguousarray(rows, dtype="<f8").view(np.uint8).reshape(ny, nx, 8)
+    biased = (b[..., 7] & 0x7F).astype(np.uint16) << 4 | b[..., 6] >> 4
+    pairs = np.empty((ny, nx, _TOKEN // 2), "<u2")
+    pairs[..., :3] = _HEAD[(b[..., 7] >> 7 << 5) | (biased != 0) << 4 | (b[..., 6] & 15)]
+    pairs[..., 3:9] = _BYTE[b[..., 5::-1]]  # mantissa bytes, most significant first
+    biased[rows == 0] = 2047
+    pairs[..., 9:] = _TAIL[biased]
+    tokens = np.empty((ny, nx, _TOKEN + 1), np.uint8)
+    tokens[..., :_TOKEN] = pairs.view(np.uint8)
+    tokens[..., _TOKEN] = ord(" ")
+    tokens[:, -1, _TOKEN] = ord("\n")
+    return tokens
+
+
+def _values(tokens: np.ndarray) -> np.ndarray:
+    """The (ny, nx) values that ``_tokens`` spells as ``tokens``.
+
+    Only tokens ``_tokens`` writes are read right; anything else reads as some
+    value whose token differs, so a caller checks by encoding the values again.
+    """
+    ny, nx, _ = tokens.shape
+    chars = np.ascontiguousarray(tokens[..., :_TOKEN])
+    pairs = chars.view("<u2")
+    exponent = _UNDIGITS[pairs[..., 10]] * 100 + _UNDIGITS[pairs[..., 11]]
+    exponent[chars[..., 19] == ord("-")] *= -1
+    biased = np.where(chars[..., 3] == ord("1"), np.clip(exponent + 1023, 0, 2046), 0)
+    b = np.empty((ny, nx, 8), np.uint8)
+    b[..., 5::-1] = _UNBYTE[pairs[..., 3:9]]
+    b[..., 6] = (biased & 15).astype(np.uint8) << 4 | _UNHEX[chars[..., 5]]
+    b[..., 7] = (chars[..., 0] == ord("-")).astype(np.uint8) << 7 | (biased >> 4).astype(np.uint8)
+    return b.view("<f8")[..., 0]
+
+
+def _not_a_token(row: int, value: int, text: bytes) -> str:
+    return f"row {row}, value {value}: {text.decode('latin-1')!r} is not a token of the form {_TOKEN_FORM}"
+
+
+def _misfit(body: bytes, nx: int, ny: int) -> str:
+    """Where a dump body of the wrong length first departs from ny rows of nx tokens.
+
+    Only the body is split, so a header that claims a huge grid costs nothing.
+    """
+    lines = body.split(b"\n")
+    rows = len(lines) - (not lines[-1])  # text after the final newline is a row that lacks its newline
+    for i, line in enumerate(lines[:min(rows, ny)], 1):
+        tokens = line.split(b" ")
+        for j, token in enumerate(tokens[:nx], 1):
+            if len(token) != _TOKEN:
+                return _not_a_token(i, j, token[:_TOKEN + 1])
+        if len(tokens) < nx:
+            return f"row {i}, value {len(tokens) + 1}: missing, the row ends after {len(tokens)} of {nx}"
+        if len(tokens) > nx:
+            return f"row {i}, value {nx + 1}: extra, a row holds {nx} values"
+        if i == len(lines):
+            return f"row {i}, value {nx}: ends the file without a newline"
+    return (f"row {min(rows, ny) + 1}, value 1: {'missing' if rows < ny else 'extra'}, "
+            f"the dump holds {rows} rows, expected {ny} rows of {nx}")
+
+
+def _read_body(body: bytes, nx: int, ny: int) -> np.ndarray:
+    """The (ny, nx) values of a dump body; a body ``write_field`` would not write is a ValueError."""
+    if len(body) != ny * nx * (_TOKEN + 1):
+        raise ValueError(_misfit(body, nx, ny))
+    tokens = np.frombuffer(body, np.uint8).reshape(ny, nx, _TOKEN + 1)
+    values = _values(tokens)
+    again = _tokens(values)
+    if again.tobytes() != body:
+        row, value, at = np.unravel_index(np.argmax(again != tokens), tokens.shape)
+        if at == _TOKEN:
+            raise ValueError(f"row {row + 1}, value {value + 1} is followed by "
+                             f"{chr(tokens[row, value, at])!r}, expected {chr(again[row, value, at])!r}")
+        raise ValueError(_not_a_token(row + 1, value + 1, tokens[row, value, :_TOKEN].tobytes()))
+    return values
 
 
 def write_field(path, field: ScalarField):
     g = field.grid
-    header = f"{g.nx}\n{g.ny}\n{_FLOAT_FMT.format(g.lx)} {_FLOAT_FMT.format(g.ly)}"
-    np.savetxt(path, field.values.T, fmt="%.17g", header=header, comments="")
+    with open(path, "wb") as fh:
+        fh.write(f"{g.nx}\n{g.ny}\n{_FLOAT_FMT.format(g.lx)} {_FLOAT_FMT.format(g.ly)}\n".encode())
+        fh.write(_tokens(field.values.T))
 
 
 def read_field(path) -> ScalarField:
     """The field dump at ``path``; a dump it cannot parse is a ValueError naming the path."""
     try:
-        with open(path) as fh:
-            header = [fh.readline().strip() for _ in range(3)]
+        with open(path, "rb") as fh:
+            header = [fh.readline().decode().strip() for _ in range(3)]
             if not header[2]:
                 raise ValueError("lacks the 3-line header (nx, ny, lx ly)")
             nx, ny = int(header[0]), int(header[1])
             lx, ly = (float(t) for t in header[2].split())
-            with warnings.catch_warnings():
-                # a header-only dump is reported by the shape check below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(fh, ndmin=2)
-        if values.shape != (ny, nx):
-            raise ValueError(f"holds {values.shape[0]} rows of {values.shape[1]} values, "
-                             f"expected {ny} rows of {nx}")
-        return ScalarField(make_grid(nx, ny, lx, ly), values.T)
+            grid = make_grid(nx, ny, lx, ly)
+            body = fh.read()
+        return ScalarField(grid, _read_body(body, nx, ny).T)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -230,8 +334,8 @@ def read_field(path) -> ScalarField:
 def _same_dump(a: ScalarField, b: ScalarField) -> bool:
     """Whether ``write_field`` writes the same bytes for a and b.
 
-    Keyed on the bit pattern, not on ``==``: -0.0 == 0.0, but ``%.17g``
-    writes ``-0``.
+    Keyed on the bit pattern, not on ``==``: -0.0 == 0.0, but their tokens
+    differ in the sign.
     """
     return a.grid == b.grid and np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 

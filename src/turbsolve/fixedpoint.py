@@ -136,7 +136,11 @@ def dissipation_source(u: ScalarField, c: ScalarField) -> ScalarField:
         raise ValueError("field and coefficient live on different grids")
     g = u.grid
     weights = _kernels.stencil_weights(c.values, g.hx, g.hy)
-    return ScalarField(g, _kernels.dissipation_cells(u.values, *weights))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        density = _kernels.dissipation_cells(u.values, *weights)
+    if not np.all(np.isfinite(density)):
+        raise ValueError("the dissipation density c |grad u|^2 overflows float64")
+    return ScalarField(g, density)
 
 
 def _truncated_source(u: ScalarField, nu_n: np.ndarray, n: int):

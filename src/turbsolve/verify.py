@@ -75,10 +75,21 @@ class InvariantReport:
 def energy_identity_residual(
     u: ScalarField, k: ScalarField, f: ScalarField, m: ViscosityModel, n: int
 ) -> float:
-    """|E - sum f u m| / max(|sum f u m|, 1e-14) with E the face energy."""
+    """|E - sum f u m| / max(|sum f u m|, 1e-14) with E the face energy.
+
+    u and f are first divided by 2^e_u and 2^e_f, the powers of two at or
+    above their maxima, and E by 2^(e_u + e_f) to match, so that neither E
+    nor the load pairing underflows on a tiny load; the 1e-14 floor applies
+    to the scaled pairing.  Each step is exact, so wherever both pairings
+    lie above the floor and nothing underflows, the residual is the unscaled
+    one bit for bit.
+    """
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
-    E = weighted_energy(ScalarField(k.grid, nu_n), u)
-    load = integrate(ScalarField(u.grid, f.values * u.values))
+    e_u, e_f = (math.frexp(linf_norm(v))[1] for v in (u, f))
+    scaled = ScalarField(u.grid, np.ldexp(u.values, -e_u))
+    with np.errstate(over="ignore"):  # an E too large to pair with the load reads inf
+        E = float(np.ldexp(weighted_energy(ScalarField(k.grid, nu_n), scaled), e_u - e_f))
+    load = integrate(ScalarField(u.grid, np.ldexp(f.values, -e_f) * scaled.values))
     return abs(E - load) / max(abs(load), ABS_FLOOR)
 
 

@@ -106,9 +106,81 @@ def test_field_dump_roundtrip(tmp_path):
     write_field(path, field)
     back = read_field(path)
     assert back.grid == g
-    assert np.array_equal(back.values, field.values)  # 17 digits roundtrip exactly
+    assert np.array_equal(back.values, field.values)  # hex float tokens roundtrip exactly
     header = path.read_text().splitlines()[:3]
     assert header[0] == "5" and header[1] == "3"
+
+
+def finite_edge_values(g) -> np.ndarray:
+    """Random finite float64 bit patterns on ``g``, the edge cases of the token layout first."""
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, np.iinfo(np.uint64).max, size=g.shape, dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 1.0
+    tiny = np.finfo(np.float64).tiny  # the smallest normal
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny, np.finfo(np.float64).max,
+             -np.finfo(np.float64).max, 1.0, -0.5]
+    values.T.flat[:len(edges)] = edges  # the first values of the first row
+    return values
+
+
+class TestDumpTokens:
+    def test_tokens_are_exact(self, tmp_path):
+        g = make_grid(13, 11, 1.25, 0.75)
+        values = finite_edge_values(g)
+        path = tmp_path / "field.txt"
+        write_field(path, ScalarField(g, values))
+        assert np.array_equal(read_field(path).values.view(np.uint64), values.view(np.uint64))
+        rows = path.read_text().splitlines()[3:]
+        assert rows[0].split(" ")[:10] == [
+            "+0x0.0000000000000p+0000", "-0x0.0000000000000p+0000",
+            "+0x0.0000000000001p-1022", "-0x0.0000000000001p-1022",
+            "+0x0.fffffffffffffp-1022", "+0x1.0000000000000p-1022",
+            "+0x1.fffffffffffffp+1023", "-0x1.fffffffffffffp+1023",
+            "+0x1.0000000000000p+0000", "-0x1.0000000000000p-0001",
+        ]
+        assert all(len(row) == 13 * 25 - 1 for row in rows)
+        # every token alone reads as its value under float.fromhex, the sign of zero included
+        tokens = np.array([[float.fromhex(t) for t in row.split(" ")] for row in rows]).T
+        assert np.array_equal(tokens.view(np.uint64), values.view(np.uint64))
+
+    def test_numpy_reads_a_dump(self, tmp_path):
+        g = make_grid(13, 11, 1.25, 0.75)
+        values = finite_edge_values(g)
+        path = tmp_path / "field.txt"
+        write_field(path, ScalarField(g, values))
+        back = np.loadtxt(path, skiprows=3, converters=float.fromhex).T
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("edit, row, value", [
+        # as earlier versions wrote it: 17 significant decimal digits
+        (lambda text: "17\n17\n1 1\n" + (" ".join(["0.10000000000000001"] * 17) + "\n") * 17, 1, 1),
+        (lambda text: edit_token(text, 2, 7, lambda t: t.replace("a", "A")), 2, 7),
+        (lambda text: edit_token(text, 4, 3, lambda t: t.replace("0x1.", "0x2.")), 4, 3),
+        (lambda text: edit_token(text, 5, 4, lambda t: t[:24] + "\t"), 5, 4),
+        (lambda text: text[:-1], 17, 17),
+        # rejected on its length, before anything the size of the grid is made
+        (lambda text: "1000000\n1000000\n" + text.split("\n", 2)[2], 1, 18),
+    ], ids=["decimal", "uppercase-digit", "lead-digit-2", "tab", "no-final-newline", "huge-header"])
+    def test_verify_rejects_what_write_field_does_not_write(self, tmp_path, capsys, edit, row, value):
+        g = make_grid(17, 17, 1.0, 1.0)
+        u, k = tmp_path / "u.txt", tmp_path / "k.txt"
+        for path in (u, k):
+            write_field(path, ScalarField.full(g, 0.1))  # +0x1.999999999999ap-0004
+        u.write_text(edit(u.read_text()))
+        assert run_verify(tmp_path, str(u), str(k)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {u}: row {row}, value {value}") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
+def edit_token(text: str, row: int, value: int, edit) -> str:
+    """A dump's text with token ``value`` of ``row`` (both from 1) and its separator edited."""
+    lines = text.split("\n")
+    start = (value - 1) * 25
+    line = lines[row + 2]
+    lines[row + 2] = line[:start] + edit(line[start:start + 25]) + line[start + 25:]
+    return "\n".join(lines)
 
 
 def test_solve_writes_outputs(tmp_path):
@@ -204,8 +276,8 @@ class TestSweepDumps:
         out.mkdir()
         cli.run_levels(cfg, out, "sweep")
         assert written == ["u_n1.txt", "k_n1.txt", "u_n2.txt"]
-        assert (out / "u_n1.txt").read_text().splitlines()[3].split()[0] == "0"
-        assert (out / "u_n2.txt").read_text().splitlines()[3].split()[0] == "-0"
+        assert (out / "u_n1.txt").read_text().splitlines()[3].split()[0] == "+0x0.0000000000000p+0000"
+        assert (out / "u_n2.txt").read_text().splitlines()[3].split()[0] == "-0x0.0000000000000p+0000"
         assert (out / "k_n2.txt").read_bytes() == (out / "k_n1.txt").read_bytes()
 
 
@@ -280,6 +352,17 @@ def test_steep_table_ends_unconverged_with_every_output(tmp_path, capsys, comman
     assert sorted(p.name for p in out.iterdir()) == sorted([table, reports, *dumps])
     [level] = json.loads((out / reports).read_text())["reports"]
     assert not level["converged"] and level["outer_iterations"] == 200
+
+
+def test_overflowing_dissipation_is_named(tmp_path, capsys):
+    # u stays finite at this load, but |grad u|^2 does not
+    text = BASE.replace("kind = physical_sqrt", "kind = constant").replace(
+        "nu2 = 1.0", "nu2 = 0.0").replace("a2 = 1.0", "a2 = 0.0").replace(
+        "amplitude = 1.0", "amplitude = 1e200")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the dissipation density c |grad u|^2 overflows float64\n"
+    assert not out.exists()
 
 
 def test_out_under_a_file(tmp_path, capsys):
@@ -625,7 +708,8 @@ class TestVerifyInput:
         assert run_verify(tmp_path, u, k) == 0
 
     @pytest.mark.parametrize("dump, edit, message", [
-        ("k", lambda lines: lines[:3] + ["-1e-3" + lines[3][1:]] + lines[4:], "k < 0 in 1 of 289 cells"),
+        ("k", lambda lines: lines[:3] + ["-0x1.0624dd2f1a9fcp-0010" + lines[3][24:]] + lines[4:],
+         "k < 0 in 1 of 289 cells"),
         ("u", lambda lines: lines[:2] + ["1"] + lines[3:], "not enough values to unpack"),
         ("u", lambda lines: ["9.5"] + lines[1:], "invalid literal for int() with base 10: '9.5'"),
         ("u", lambda lines: lines[:2] + ["nan 1"] + lines[3:], "positive and finite"),
@@ -653,7 +737,7 @@ class TestVerifyInput:
     def test_dump_with_header_only(self, tmp_path, capsys):
         u, k = write_zero_dumps(tmp_path, cut_rows=17)
         assert run_verify(tmp_path, u, k) == 2
-        assert "holds 0 rows of 1 values, expected 17 rows of 17" in capsys.readouterr().err
+        assert "holds 0 rows, expected 17 rows of 17" in capsys.readouterr().err
 
     def test_missing_dump(self, tmp_path, capsys):
         _, k = write_zero_dumps(tmp_path)

@@ -133,6 +133,16 @@ class TestEnergyIdentity:
         z = ScalarField.zeros(g)
         assert energy_identity_residual(z, z, z, CONSTANT, 8) == 0.0
 
+    @pytest.mark.parametrize("power", [-565, 600])
+    def test_residual_is_scale_free(self, power):
+        # unscaled, the energy and the load pairing underflow to 0 at 2^-565 and overflow at 2^600
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g)
+        u, k, _ = picard_solve(HP_UNIT, 8, f, PicardConfig())
+        residual = energy_identity_residual(u, k, f, HP_UNIT, 8)
+        u_s, f_s = (ScalarField(g, np.ldexp(v.values, power)) for v in (u, f))
+        assert residual > 0.0 and energy_identity_residual(u_s, k, f_s, HP_UNIT, 8) == residual
+
     def test_unconverged_iterate_flagged(self):
         g = make_grid(33, 33, 1.0, 1.0)
         f = gaussian_source(g)
