@@ -36,9 +36,10 @@ tolerance or stopped at its rounding floor (see
 :func:`~turbsolve.linsolve.solve_spd`).
 Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
-(solve -Lap K = source with K = A(k) from zero, which the exact Poisson
-preconditioner finishes in one CG iteration, then map back through
-A_inv), and the chi route (proportional pairs only).  One driver runs all
+(solve -Lap K = source with K = A(k) from zero, always to the inner
+tolerance, which the float32 fast-Poisson preconditioner does in about
+three CG iterations, then map back through A_inv), and the chi route
+(proportional pairs only).  One driver runs all
 three; they differ only in the k-update step it is given.
 """
 
@@ -200,14 +201,17 @@ def kirchhoff_k_solve(
     -Lap K = min(n, D(u, nu_n(k_lag))).  The update solves that Poisson
     problem from zero and maps back through A_inv; for constant a it
     reduces algebraically to the direct update.  The CG preconditioner is
-    the exact inverse of this operator, so the solve ends after one
-    iteration, certified against the recomputed residual like any other.
+    this operator's inverse in float32 products, so the solve ends after
+    about three iterations, certified against the recomputed residual like
+    any other.  It always runs to ``inner_tol``: from a cold start,
+    ``loose_tol`` would bound the error of all of K, not of a correction,
+    so it is accepted for the common k-step signature and not used.
     """
     g = u.grid
     nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
-    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, loose_tol=loose_tol)
+    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol)
     K_vals, clamp_count = _clamp(K.values)
     return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count, report)
 

@@ -8,15 +8,21 @@ off-diagonals, hence positive definite and monotone (nonnegative right
 hand sides produce nonnegative solutions, the discrete carrier of the
 k >= 0 estimate).
 
-The solve is conjugate gradients preconditioned with the exact inverse of
-the unit-coefficient operator A(1) on the same grid.  With face
-coefficients in [c_min, c_max], A(c) is spectrally equivalent to A(1) with
-condition number at most c_max/c_min at every mesh width (Concus & Golub
-1973), so the iteration count does not grow with the grid.  A(1) is
-inverted by tensor-product fast diagonalisation (Lynch, Rice & Thomas
-1964): the 1D cell-centred operator with mirror ghosts has the DST-II
-eigenbasis.  Convergence is certified against the *recomputed* residual,
-never the recursion residual alone.  A solve that cannot reach its
+The solve is conjugate gradients preconditioned with the inverse of the
+unit-coefficient operator A(1) on the same grid.  With face coefficients
+in [c_min, c_max], A(c) is spectrally equivalent to A(1) with condition
+number at most c_max/c_min at every mesh width (Concus & Golub 1973), so
+the iteration count does not grow with the grid.  A(1) is inverted by
+tensor-product fast diagonalisation (Lynch, Rice & Thomas 1964): the 1D
+cell-centred operator with mirror ghosts has the DST-II eigenbasis.  The
+inverse is applied in float32 matrix products, about twice as fast as in
+float64 and within about 1e-6 of the exact inverse, relatively.  CG takes
+its step direction in the flexible (Polak-Ribiere) form, which keeps the
+local A-orthogonality of the directions under such an inexact
+preconditioner (Golub & Ye 1999; Notay 2000), and costs at most a few
+iterations more than with the exact inverse.  Everything else is float64.
+Convergence is certified against the *recomputed* residual, never the
+recursion residual alone.  A solve that cannot reach its
 tolerance either stops at the rounding floor, with a normwise backward
 error of a few eps (Rigal & Gaches 1967; Higham 2002, ch. 7), or raises
 instead of returning a partial answer.
@@ -105,19 +111,40 @@ def _dst2_basis(n: int, h: float):
 
 @dataclass(frozen=True, eq=False)
 class PoissonInverse:
-    """Exact inverse of L = A(1): L^{-1} r = Qx ((Qx^T r Qy) / eig) Qy^T."""
+    """Inverse of L = A(1), L^{-1} r = Qx ((Qx^T r Qy) / eig) Qy^T, in float32 products.
 
-    qx: np.ndarray  # (nx, nx) x eigenvectors
-    qy: np.ndarray  # (ny, ny) y eigenvectors
-    eig: np.ndarray  # (nx, ny) eigenvalues of L: eig[i, j] = lam_x[i] + lam_y[j]
+    The bases and eigenvalues are computed in float64 and stored in
+    float32, with eig divided by 2^scale, the power of two at or above its
+    largest entry.  Both this and the scaling of r by a power of two in
+    :meth:`apply` are exact, so eig lies in about [1/N^2, 1] and the
+    products stay in float32 range at any domain extents and residual
+    scale.  The apply is then within a few float32 eps times N of the
+    exact inverse, relatively; CG treats it as an inexact preconditioner
+    (see :func:`solve_spd`).
+    """
 
-    def apply(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """L^{-1} r into ``out``; ``work`` is scratch, and neither may alias r."""
-        np.matmul(self.qx.T, r, out=work)
-        np.matmul(work, self.qy, out=out)
-        out /= self.eig
-        np.matmul(self.qx, out, out=work)
-        return np.matmul(work, self.qy.T, out=out)
+    qx: np.ndarray  # (nx, nx) x eigenvectors, float32
+    qy: np.ndarray  # (ny, ny) y eigenvectors, float32
+    eig: np.ndarray  # (nx, ny) eigenvalues of L over 2^scale: (lam_x[i] + lam_y[j]) / 2^scale
+    scale: int
+
+    def apply(self, r: np.ndarray, out: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """L^{-1} r into the float64 ``out``; float32 ``w1`` and ``w2`` are scratch, and none may alias r.
+
+        r is scaled by 2^-e, the power of two at or above max|r|, and
+        rounded once to float32; the result is scaled back in float64.  So
+        the float32 products run at the same scale for every r, and only
+        the float64 rescale meets the extremes of its range.
+        """
+        e = math.frexp(max(float(r.max()), -float(r.min())))[1]
+        w1[...] = np.ldexp(r, -e, out=out)
+        np.matmul(self.qx.T, w1, out=w2)
+        np.matmul(w2, self.qy, out=w1)
+        w1 /= self.eig
+        np.matmul(self.qx, w1, out=w2)
+        np.matmul(w2, self.qy.T, out=w1)
+        out[...] = w1
+        return np.ldexp(out, e - self.scale, out=out)
 
 
 @lru_cache(maxsize=8)
@@ -126,9 +153,11 @@ def poisson_inverse(grid: Grid) -> PoissonInverse:
     qx, lam_x = _dst2_basis(grid.nx, grid.hx)
     qy, lam_y = _dst2_basis(grid.ny, grid.hy)
     eig = lam_x[:, None] + lam_y[None, :]
+    scale = math.frexp(float(eig.max()))[1]
+    qx, qy, eig = (a.astype(np.float32) for a in (qx, qy, np.ldexp(eig, -scale)))
     for a in (qx, qy, eig):
         a.flags.writeable = False  # shared through the cache
-    return PoissonInverse(qx, qy, eig)
+    return PoissonInverse(qx, qy, eig, scale)
 
 
 def assemble(c: ScalarField) -> DiffusionOperator:
@@ -154,7 +183,15 @@ def solve_spd(
     residual meets loose_tol; the start is still judged against tol, so a
     start that misses tol takes at least one iteration, and the report's
     ``relative_residual`` tells the caller whether tol itself was met.  The
-    preconditioner is the exact inverse of A(1) (see the module docstring).
+    preconditioner is the inverse of A(1) in float32 products (see
+    :class:`PoissonInverse`), and the step direction p = z + beta p takes
+    the flexible beta = -(z, A p) / (p, A p), which equals the
+    Polak-Ribiere (z_new, r_new - r_old) / (z_old, r_old) in exact
+    arithmetic and costs one dot product more than the Fletcher-Reeves
+    form.  The preconditioner only steers the search: the stop rule, the
+    certification against the true residual and the floor rule below are
+    all in float64, so its rounding can change the iteration count and x
+    below the certified tolerance, never what is certified.
 
     The solve is scale-free: b and x0 are divided by 2^e, the power of two
     at or above max|b|, and x is multiplied back on return.  Both steps are
@@ -172,12 +209,13 @@ def solve_spd(
     backward error raises LinearSolveError naming the stall.
 
     Deterministic at a fixed BLAS thread count: fixed iteration order.  The
-    dot products, norms and the preconditioner's matrix products go through
-    BLAS, whose summation order may depend on its thread count, so the last
-    bits can differ between thread counts.  The work vectors are allocated
-    once per call and updated in place.  Raises LinearSolveError at the
-    first residual that is not finite, and when the budget of 10 * nx * ny
-    iterations runs out.
+    dot products, norms and the preconditioner's float32 matrix products
+    (``sgemm``) go through BLAS, whose summation order may depend on its
+    thread count, so the last bits can differ between thread counts.  The
+    work vectors, the preconditioner's two float32 ones included, are
+    allocated once per call and updated in place.  Raises LinearSolveError
+    at the first residual that is not finite, and when the budget of
+    10 * nx * ny iterations runs out.
     """
     if not 0 < tol < np.inf:  # fails on NaN as well
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -207,6 +245,7 @@ def solve_spd(
     stop = max(tol, loose_tol)
     M = poisson_inverse(g)
     p, z, Ap, tmp = (np.empty(g.shape) for _ in range(4))
+    w1, w2 = (np.empty(g.shape, np.float32) for _ in range(2))  # the preconditioner's scratch
     x = np.zeros(g.shape) if x0 is None else np.ldexp(x0.values, -e)
     r = np.subtract(rhs, A.apply(x, out=tmp))
     res = relative(r, 0)
@@ -216,15 +255,15 @@ def solve_spd(
     failed = math.inf  # true relative residual at the last failed check
 
     for iterations in range(1, budget + 1):
-        M.apply(r, z, tmp)
-        rz_new = float(np.vdot(r, z))
+        M.apply(r, z, w1, w2)
         if restart:
             p[...] = z
             restart = False
         else:
-            p *= rz_new / rz
+            # flexible beta (z_new, r_new - r_old) / (z_old, r_old), with r_new - r_old = -alpha A p
+            p *= -float(np.vdot(z, Ap)) / pAp
             p += z
-        rz = rz_new
+        rz = float(np.vdot(r, z))
         A.apply(p, out=Ap)
         pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:

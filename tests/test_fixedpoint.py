@@ -388,8 +388,9 @@ class TestKirchhoffRoute:
 
     @pytest.mark.parametrize("loose_tol", [0.0, 1e-3])
     def test_one_poisson_iteration_and_no_forward_transform(self, monkeypatch, loose_tol):
-        # the Poisson solve starts from zero, not from A(k_lag), and the exact
-        # preconditioner finishes it in one CG iteration
+        # the Poisson solve starts from zero, not from A(k_lag), and runs to
+        # INNER_TOL under any loose_tol; the float32 fast-Poisson
+        # preconditioner finishes it in at most three CG iterations
         g = make_grid(33, 33, 1.0, 1.0)
         u, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
         forward = count_calls(monkeypatch, coeffs.kirchhoff_A)
@@ -398,7 +399,7 @@ class TestKirchhoffRoute:
         monkeypatch.setattr(ViscosityModel, "a", lambda m, s: a_calls.append(1) or a(m, s))
         step = kirchhoff_k_solve(u, ScalarField.full(g, 0.5), HP_UNIT, 8, loose_tol=loose_tol)
         assert len(forward) == 0 and len(a_calls) == 0
-        assert step.report.iterations <= 1 and step.report.relative_residual <= INNER_TOL
+        assert step.report.iterations <= 3 and step.report.relative_residual <= INNER_TOL
 
 
 class TestSweep:

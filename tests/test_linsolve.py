@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,36 @@ from turbsolve import (
 )
 from turbsolve._kernels import face_gradients
 from turbsolve.grid import face_average
-from turbsolve.linsolve import FLOOR_BACKWARD_ERROR, INNER_TOL, DiffusionOperator, poisson_inverse
+from turbsolve.linsolve import (
+    FLOOR_BACKWARD_ERROR,
+    INNER_TOL,
+    DiffusionOperator,
+    _dst2_basis,
+    poisson_inverse,
+)
 from turbsolve.verify import manufactured_forcing, manufactured_solution
+
+
+# Relative error of the float32 preconditioner apply: float32 eps times a
+# few N at 129^2, with room for 513^2
+APPLY_TOL = 1e-4
+
+
+def exact_poisson_inverse(g, r):
+    """L^{-1} r from the float64 DST-II bases and eigenvalues."""
+    qx, lam_x = _dst2_basis(g.nx, g.hx)
+    qy, lam_y = _dst2_basis(g.ny, g.hy)
+    return qx @ ((qx.T @ r @ qy) / (lam_x[:, None] + lam_y[None, :])) @ qy.T
+
+
+def apply_poisson_inverse(g, r):
+    """The package's float32 apply of L^{-1} r."""
+    w1, w2 = np.empty(g.shape, np.float32), np.empty(g.shape, np.float32)
+    return poisson_inverse(g).apply(r, np.empty(g.shape), w1, w2)
+
+
+def relative_error(x, exact):
+    return np.linalg.norm(x - exact) / np.linalg.norm(exact)
 
 
 def random_operator(nx=9, ny=7, seed=0):
@@ -66,12 +95,14 @@ class TestAssembly:
             assemble(ScalarField(g, values))
 
     def test_poisson_inverse_is_exact(self):
-        # non-square, hx != hy: L^{-1}(A(1) v) recovers v
+        # non-square, hx != hy: the float64 bases and eigenvalues recover v
+        # from A(1) v, and the float32 apply stays within APPLY_TOL of them
         g = make_grid(17, 33, 1.0, 2.0)
         v = np.random.default_rng(9).standard_normal(g.shape)
         Av = assemble(ScalarField.full(g, 1.0)).apply(v)
-        w = poisson_inverse(g).apply(Av, np.empty(g.shape), np.empty(g.shape))
+        w = exact_poisson_inverse(g, Av)
         assert np.linalg.norm(w - v) <= 1e-12 * np.linalg.norm(v)
+        assert relative_error(apply_poisson_inverse(g, Av), w) <= APPLY_TOL
 
     def test_pointwise_consistency_on_smooth_data(self):
         # applying the operator approximates -div(c grad v) at second order
@@ -183,7 +214,9 @@ class TestSolve:
         b = ScalarField.full(g, amplitude)
         x, report = solve_spd(A, b)
         assert report.iterations == unit_report.iterations
-        assert np.max(np.abs(x.values / amplitude - unit.values)) <= 1e-15 * linf_norm(unit)
+        # the loads differ by a mantissa that is not a power of two, which
+        # the float32 preconditioner rounds differently
+        assert np.max(np.abs(x.values / amplitude - unit.values)) <= INNER_TOL * linf_norm(unit)
         # the true relative residual, evaluated at a power-of-two scale where no norm overflows
         e = math.frexp(amplitude)[1]
         r = np.ldexp(b.values, -e) - A.apply(np.ldexp(x.values, -e))
@@ -238,7 +271,12 @@ class TestSolve:
             c = ScalarField.from_function(
                 g, lambda X, Y: 2.5 + 1.5 * np.sin(2 * np.pi * X) * np.cos(3 * np.pi * Y))
             b = ScalarField(g, np.random.default_rng(n).standard_normal(g.shape))
-            iterations.append(solve_spd(assemble(c), b, tol=1e-12)[1].iterations)
+            A = assemble(c)
+            report = solve_spd(A, b, tol=1e-12)[1]
+            # the float32 preconditioner costs at most 2 iterations over the float64 inverse
+            exact = reference_cg(A, b, 1e-12, exact_poisson_inverse)[1]
+            assert report.iterations <= exact.iterations + 2
+            iterations.append(report.iterations)
         assert max(iterations) <= 40
         assert iterations[-1] <= iterations[0] + 5
 
@@ -328,26 +366,28 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def precondition(A, r):
-    """Out-of-place L^{-1} r, the same matrix products in the same order as the package."""
-    M = poisson_inverse(A.grid)
-    return M.qx @ ((M.qx.T @ r @ M.qy) / M.eig) @ M.qy.T
+def precondition(g, r):
+    """Out-of-place float32 L^{-1} r: the package's roundings and matrix products, in its order."""
+    M = poisson_inverse(g)
+    e = math.frexp(np.max(np.abs(r)))[1]
+    y = M.qx @ ((M.qx.T @ np.ldexp(r, -e).astype(np.float32) @ M.qy) / M.eig) @ M.qy.T
+    return np.ldexp(y.astype(np.float64), e - M.scale)
 
 
-def reference_cg(A, b, tol):
-    """Out-of-place preconditioned CG: a fresh array for every vector update."""
+def reference_cg(A, b, tol, precondition=precondition):
+    """Out-of-place flexible preconditioned CG: a fresh array for every vector update."""
     rhs = b.values
     bnorm = float(np.linalg.norm(rhs))
     x = np.zeros(rhs.shape)
     r = rhs.copy()
-    z = precondition(A, r)
+    z = precondition(A.grid, r)
     p = z.copy()
-    rz = float(np.vdot(r, z))
     iterations = 0
     while True:
         iterations += 1
         Ap = A.apply(p)
-        alpha = rz / float(np.vdot(p, Ap))
+        pAp = float(np.vdot(p, Ap))
+        alpha = float(np.vdot(r, z)) / pAp
         x = x + alpha * p
         r = r - alpha * Ap
         if float(np.linalg.norm(r)) / bnorm <= tol:
@@ -356,14 +396,58 @@ def reference_cg(A, b, tol):
             if res_true <= tol:
                 return x, LinearSolveReport(iterations, res_true)
             r = r_true
-            z = precondition(A, r)
+            z = precondition(A.grid, r)
             p = z.copy()
-            rz = float(np.vdot(r, z))
             continue
-        z = precondition(A, r)
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        z = precondition(A.grid, r)
+        p = z + (-float(np.vdot(z, Ap)) / pAp) * p
+
+
+def contrast_problem():
+    g = make_grid(33, 33, 1.0, 1.0)
+    # contrast about 37: enough CG iterations for in-place drift to show
+    c = ScalarField.from_function(g, lambda X, Y: 1.0 + 30.0 * X * Y + 10.0 * np.sin(5.0 * X) ** 2)
+    return g, assemble(c), ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("lx, ly, exponent", [
+        (1e-30, 1e-30, 0), (1e30, 1e30, 0), (1.0, 1e-9, 0), (1.0, 1.0, 900), (1.0, 1.0, -1000)])
+    def test_apply_is_scale_free(self, lx, ly, exponent):
+        # extents far from 1 push unscaled eigenvalues out of float32 range, and
+        # residuals at 2^900 and 2^-1000 overflow or vanish in a float32 rescale
+        g = make_grid(33, 33, lx, ly)
+        r = np.random.default_rng(3).standard_normal(g.shape)
+        z = apply_poisson_inverse(g, np.ldexp(r, exponent))
+        assert np.all(np.isfinite(z))
+        assert relative_error(np.ldexp(z, -exponent), exact_poisson_inverse(g, r)) <= APPLY_TOL
+
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_apply_is_accurate_at_large_grids(self, n):
+        g = make_grid(n, n, 1.0, 1.0)
+        r = np.random.default_rng(n).standard_normal(g.shape)
+        assert relative_error(apply_poisson_inverse(g, r), exact_poisson_inverse(g, r)) <= APPLY_TOL
+
+    def test_apply_in_place_allocates_nothing(self):
+        g = make_grid(129, 129, 1.0, 1.0)
+        M = poisson_inverse(g)
+        r = np.random.default_rng(4).standard_normal(g.shape)
+        out, w1, w2 = np.empty(g.shape), np.empty(g.shape, np.float32), np.empty(g.shape, np.float32)
+        M.apply(r, out, w1, w2)
+        tracemalloc.start()
+        try:
+            assert M.apply(r, out, w1, w2) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w1.nbytes // 16  # no temporary of the grid's size, not even a float32 one
+        assert np.array_equal(out, apply_poisson_inverse(g, r))
+
+    def test_float32_costs_at_most_two_iterations(self):
+        g, A, b = contrast_problem()
+        report = solve_spd(A, b, tol=1e-12)[1]
+        exact = reference_cg(A, b, 1e-12, exact_poisson_inverse)[1]
+        assert report.iterations <= exact.iterations + 2
 
 
 class TestInPlace:
@@ -383,11 +467,7 @@ class TestInPlace:
         assert np.max(np.abs(fresh - flux)) <= 1e-13 * np.max(np.abs(flux))
 
     def test_solve_matches_out_of_place_cg_bit_for_bit(self):
-        g = make_grid(33, 33, 1.0, 1.0)
-        # contrast about 37: enough CG iterations for in-place drift to show
-        c = ScalarField.from_function(g, lambda X, Y: 1.0 + 30.0 * X * Y + 10.0 * np.sin(5.0 * X) ** 2)
-        A = assemble(c)
-        b = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
+        g, A, b = contrast_problem()
         x, report = solve_spd(A, b, tol=1e-12)
         x_ref, report_ref = reference_cg(A, b, 1e-12)
         assert report == report_ref and report.iterations > 30
