@@ -315,6 +315,19 @@ def write_field(path, field: ScalarField):
         fh.write(_tokens(field.values.T))
 
 
+def _header_line(header: list, number: int, form: str, parse):
+    """``parse`` of dump header line ``number``; a ValueError names the line and its ``form``."""
+    try:
+        return parse(header[number - 1])
+    except ValueError as exc:
+        raise ValueError(f'header line {number} must be "{form}": {exc}') from None
+
+
+def _extents(line: str):
+    lx, ly = (float(t) for t in line.split())
+    return lx, ly
+
+
 def read_field(path) -> ScalarField:
     """The field dump at ``path``; a dump it cannot parse is a ValueError naming the path."""
     try:
@@ -322,8 +335,9 @@ def read_field(path) -> ScalarField:
             header = [fh.readline().decode().strip() for _ in range(3)]
             if not header[2]:
                 raise ValueError("lacks the 3-line header (nx, ny, lx ly)")
-            nx, ny = int(header[0]), int(header[1])
-            lx, ly = (float(t) for t in header[2].split())
+            nx = _header_line(header, 1, "nx", int)
+            ny = _header_line(header, 2, "ny", int)
+            lx, ly = _header_line(header, 3, "lx ly", _extents)
             grid = make_grid(nx, ny, lx, ly)
             body = fh.read()
         return ScalarField(grid, _read_body(body, nx, ny).T)

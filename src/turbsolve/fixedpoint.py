@@ -36,11 +36,11 @@ tolerance or stopped at its rounding floor (see
 :func:`~turbsolve.linsolve.solve_spd`).
 Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
-(solve -Lap K = source with K = A(k) from zero, always to the inner
-tolerance, which the float32 fast-Poisson preconditioner does in about
-three CG iterations, then map back through A_inv), and the chi route
-(proportional pairs only).  One driver runs all
-three; they differ only in the k-update step it is given.
+(solve -Lap K = source for K = A(k), then map back through A_inv), and
+the chi route (proportional pairs only).  One driver runs all three; they
+differ only in the k-update step it is given.  Every inner solve starts
+from the current iterate, so a k0 far above the load's scale raises on
+every route (see ``_picard``).
 """
 
 from dataclasses import asdict, dataclass
@@ -55,6 +55,7 @@ from .coeffs import (
     ViscosityModel,
     _check_level,
     _is_integer,
+    kirchhoff_A,
     kirchhoff_A_inv,
     truncated_coefficients,
 )
@@ -199,19 +200,17 @@ def kirchhoff_k_solve(
 
     With K = A(k) the k-equation becomes constant-coefficient:
     -Lap K = min(n, D(u, nu_n(k_lag))).  The update solves that Poisson
-    problem from zero and maps back through A_inv; for constant a it
-    reduces algebraically to the direct update.  The CG preconditioner is
-    this operator's inverse in float32 products, so the solve ends after
-    about three iterations, certified against the recomputed residual like
-    any other.  It always runs to ``inner_tol``: from a cold start,
-    ``loose_tol`` would bound the error of all of K, not of a correction,
-    so it is accepted for the common k-step signature and not used.
+    problem from A(k_lag), like every inner solve from the current iterate
+    (so a k_lag far above the load's scale raises as on the other routes),
+    and maps back through A_inv; for constant a it reduces algebraically
+    to the direct update.
     """
     g = u.grid
     nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
     source, _ = _truncated_source(u, nu_n, n)
     op = assemble(ScalarField.full(g, 1.0))
-    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol)
+    K0 = ScalarField(g, kirchhoff_A(m, k_lag.values))
+    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=K0, loose_tol=loose_tol)
     K_vals, clamp_count = _clamp(K.values)
     return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count, report)
 
@@ -279,7 +278,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     is re-solved once at the final k, so the pair satisfies the u-equation
     to inner-solve accuracy.  Every inner solve starts from the current
     iterate, so one whose start already meets inner_tol costs a single
-    matvec and no CG iteration.  Returns (u, k, report, last KStep).
+    matvec and no CG iteration, and a start whose residual overflows
+    float64 raises LinearSolveError.  Returns (u, k, report, last KStep).
     """
     # used as given: nothing writes a start (solve_spd copies x0, and the loop rebinds u and k)
     u = u0 if u0 is not None else ScalarField.zeros(f.grid)

@@ -236,7 +236,8 @@ def solve_spd(
     bnorm = float(np.linalg.norm(rhs))
 
     def relative(v, iterations):
-        res = float(np.linalg.norm(v)) / bnorm
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below, by name
+            res = float(np.linalg.norm(v)) / bnorm
         if not math.isfinite(res):
             raise LinearSolveError(f"conjugate gradients met a residual that is not finite "
                                    f"after {iterations} iterations", LinearSolveReport(iterations, res))

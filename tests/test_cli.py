@@ -159,9 +159,11 @@ class TestDumpTokens:
         (lambda text: edit_token(text, 4, 3, lambda t: t.replace("0x1.", "0x2.")), 4, 3),
         (lambda text: edit_token(text, 5, 4, lambda t: t[:24] + "\t"), 5, 4),
         (lambda text: text[:-1], 17, 17),
+        (lambda text: edit_token(text, 3, 17, lambda t: t[:24] + " " + t), 3, 18),
         # rejected on its length, before anything the size of the grid is made
         (lambda text: "1000000\n1000000\n" + text.split("\n", 2)[2], 1, 18),
-    ], ids=["decimal", "uppercase-digit", "lead-digit-2", "tab", "no-final-newline", "huge-header"])
+    ], ids=["decimal", "uppercase-digit", "lead-digit-2", "tab", "no-final-newline", "extra-value",
+          "huge-header"])
     def test_verify_rejects_what_write_field_does_not_write(self, tmp_path, capsys, edit, row, value):
         g = make_grid(17, 17, 1.0, 1.0)
         u, k = tmp_path / "u.txt", tmp_path / "k.txt"
@@ -470,6 +472,18 @@ def test_mms_run_that_does_not_converge(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mms_ratio_below_the_bound_exits_1(tmp_path, capsys):
+    # 3 and 4 cells are too coarse for second order: the error ratio is about 2.1
+    text = BASE.replace("kind = physical_sqrt", "kind = constant").replace(
+        "nu2 = 1.0", "nu2 = 0.0").replace("a2 = 1.0", "a2 = 0.0")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", write_config(tmp_path, text), "--out", str(out),
+                 "--sizes", "3", "4"]) == 1
+    assert capsys.readouterr().err == "manufactured-solution ratios fell below 3.5\n"
+    ratio = float((out / "mms.csv").read_text().splitlines()[2].split(",")[3])
+    assert 1.0 < ratio < 3.5
+
+
 @pytest.mark.parametrize("sizes", [["17"], ["33", "17", "9"]], ids=" ".join)
 def test_mms_rejects_sizes_that_certify_nothing(tmp_path, capsys, sizes):
     # one size has no ratio, and a descending sequence inverts every ratio
@@ -714,7 +728,12 @@ class TestVerifyInput:
         ("u", lambda lines: ["9.5"] + lines[1:], "invalid literal for int() with base 10: '9.5'"),
         ("u", lambda lines: lines[:2] + ["nan 1"] + lines[3:], "positive and finite"),
         ("k", lambda lines: lines[:-3], "expected 17 rows of 17"),
-    ], ids=["negative-k", "lx-without-ly", "fractional-nx", "nan-edge", "rows-cut-off"])
+        ("u", lambda lines: lines[:2] + ["1"] + lines[3:], 'header line 3 must be "lx ly": '),
+        ("u", lambda lines: lines[:2] + ["1 1 1"] + lines[3:], 'header line 3 must be "lx ly": '),
+        ("u", lambda lines: ["2.0"] + lines[1:], 'header line 1 must be "nx": '),
+        ("k", lambda lines: lines[:1] + ["1e1"] + lines[2:], 'header line 2 must be "ny": '),
+    ], ids=["negative-k", "lx-without-ly", "fractional-nx", "nan-edge", "rows-cut-off",
+            "one-extent", "three-extents", "float-nx", "float-ny"])
     def test_bad_dump_named_before_output(self, tmp_path, capsys, dump, edit, message):
         dumps = dict(zip("uk", write_zero_dumps(tmp_path)))
         path = Path(dumps[dump])
@@ -831,7 +850,9 @@ class TestSourceConfig:
         (dict(preset="gaussian", sigma=-math.inf), ValueError),
         (dict(r=math.nan), HypothesisViolation),
         (dict(r=-math.inf), HypothesisViolation),
-    ], ids=["sigma-nan", "sigma-minus-inf", "r-nan", "r-minus-inf"])
+        (dict(preset="gaussian", sigma=0.0), ValueError),
+        (dict(preset="spiral"), ValueError),
+    ], ids=["sigma-nan", "sigma-minus-inf", "r-nan", "r-minus-inf", "sigma-zero", "unknown-preset"])
     def test_rejects_nan_and_nonpositive_shapes(self, kwargs, error):
         # the INI parser stops NaN; the Python API reaches these checks directly
         with pytest.raises(error):

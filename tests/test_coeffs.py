@@ -74,6 +74,22 @@ class TestEvaluation:
         assert info.value.label == "H2"
 
 
+class TestRejectedModels:
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(kind="cubic", nu1=1.0, a1=1.0), ValueError, "unknown model kind"),
+        (dict(nu1=1.0, a1=2.0, gamma=1.0), HypothesisViolation, "a1 != gamma"),
+        (dict(kind="table", table_s=(0.0, 1.0, 4.0), table_nu=(1.0, 2.0), table_a=(1.0, 2.0, 3.0)),
+         ValueError, "table_nu must match"),
+        (dict(kind="table", table_s=(0.0, 1.0), table_nu=(1.0, 2.0)), ValueError,
+         "needs table_a"),
+        (dict(kind="table", table_s=(0.0, 1.0, 4.0), table_nu=(1.0, 2.0, 3.0), table_a=(1.0, 2.0)),
+         ValueError, "table_a must match"),
+    ], ids=["unknown-kind", "a1-not-gamma-nu1", "table-nu-shape", "no-table-a", "table-a-shape"])
+    def test_rejected_when_built(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            ViscosityModel(**kwargs)
+
+
 class TestRatioFloor:
     # with finite floors, inf a/nu = 0 exactly when gamma is unset, nu2 > 0 and a2 = 0
     def test_degenerate_ratio(self):

@@ -28,7 +28,7 @@ from turbsolve import (
     sqrt_nu_seminorm,
 )
 from turbsolve import coeffs, fixedpoint
-from turbsolve.linsolve import INNER_TOL, DiffusionOperator
+from turbsolve.linsolve import INNER_TOL, DiffusionOperator, LinearSolveError
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
@@ -387,19 +387,51 @@ class TestKirchhoffRoute:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("loose_tol", [0.0, 1e-3])
-    def test_one_poisson_iteration_and_no_forward_transform(self, monkeypatch, loose_tol):
-        # the Poisson solve starts from zero, not from A(k_lag), and runs to
-        # INNER_TOL under any loose_tol; the float32 fast-Poisson
-        # preconditioner finishes it in at most three CG iterations
+    def test_one_transform_each_way_and_the_driver_stop(self, monkeypatch, loose_tol):
+        # like every inner solve, the Poisson solve starts from the current
+        # iterate, A(k_lag), and stops at the driver's loose_tol; with
+        # loose_tol = 0 the float32 fast-Poisson preconditioner takes it to
+        # INNER_TOL in at most three CG iterations
         g = make_grid(33, 33, 1.0, 1.0)
         u, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
+        k_lag = ScalarField.full(g, 0.5)
+        tight = kirchhoff_k_solve(u, k_lag, HP_UNIT, 8)
         forward = count_calls(monkeypatch, coeffs.kirchhoff_A)
+        inverse = count_calls(monkeypatch, coeffs.kirchhoff_A_inv)
         a_calls = []
         a = ViscosityModel.a
         monkeypatch.setattr(ViscosityModel, "a", lambda m, s: a_calls.append(1) or a(m, s))
-        step = kirchhoff_k_solve(u, ScalarField.full(g, 0.5), HP_UNIT, 8, loose_tol=loose_tol)
-        assert len(forward) == 0 and len(a_calls) == 0
-        assert step.report.iterations <= 3 and step.report.relative_residual <= INNER_TOL
+        step = kirchhoff_k_solve(u, k_lag, HP_UNIT, 8, loose_tol=loose_tol)
+        assert len(forward) == 1 and len(inverse) == 1 and len(a_calls) == 0
+        if loose_tol == 0.0:
+            assert step.report.iterations <= 3 and step.report.relative_residual <= INNER_TOL
+        else:
+            assert step.report.relative_residual <= loose_tol
+            assert step.report.iterations < tight.report.iterations
+
+    def test_settled_sweep_levels_take_no_cg_iteration(self, monkeypatch):
+        # a level that converges in one outer iteration starts its K-solve
+        # from A(k) of the previous level's fixed point, which already meets
+        # INNER_TOL (a solve from zero took three iterations there)
+        g = make_grid(33, 33, 1.0, 1.0)
+        reports = []
+        k_step = fixedpoint.kirchhoff_k_solve
+
+        def recording(*args, **kwargs):
+            step = k_step(*args, **kwargs)
+            reports.append(step.report)
+            return step
+
+        monkeypatch.setattr(fixedpoint, "kirchhoff_k_solve", recording)
+        entries = n_sweep(HP_UNIT, gaussian_source(g), [1, 2, 4, 8, 16, 32, 64],
+                          PicardConfig(tol=1e-10), route="kirchhoff")
+        assert len(reports) == sum(e.report.outer_iterations for e in entries)
+        settled = []
+        for e in entries:
+            level, reports = reports[:e.report.outer_iterations], reports[e.report.outer_iterations:]
+            if len(level) == 1:
+                settled.append(level[0].iterations)
+        assert len(settled) >= 3 and settled == [0] * len(settled)
 
 
 class TestSweep:
@@ -547,3 +579,16 @@ class TestWarmStarts:
             _, _, report = picard_solve(HP_UNIT, 8, f, cfg, u0=u0, k0=k0, k_update=route)
         assert report.converged
         assert np.array_equal(u0.values, before[0]) and np.array_equal(k0.values, before[1])
+
+    @pytest.mark.parametrize("route", ["direct", "kirchhoff", "chi"])
+    def test_far_start_raises_the_named_error(self, route):
+        # every inner solve starts from the current iterate: a k0 whose residual
+        # overflows float64 ends the solve with LinearSolveError, not a numpy warning
+        g = make_grid(9, 9, 1.0, 1.0)
+        f = ScalarField.full(g, 1.0)
+        k0 = ScalarField.full(g, 1e150)
+        with pytest.raises(LinearSolveError, match="residual that is not finite"):
+            if route == "chi":
+                chi_decoupled_solve(HP_UNIT, 8, f, PicardConfig(), k0=k0)
+            else:
+                picard_solve(HP_UNIT, 8, f, PicardConfig(), k0=k0, k_update=route)

@@ -6,9 +6,12 @@ import pytest
 from turbsolve import (
     Grid,
     ScalarField,
+    assemble,
+    dissipation_source,
     integrate,
     linf_norm,
     make_grid,
+    solve_spd,
     weighted_energy,
 )
 from turbsolve._kernels import face_gradients
@@ -187,3 +190,15 @@ class TestWeightedEnergy:
             e = weighted_energy(ScalarField.full(g, 1.0), sin_sin(g))
             errs.append(abs(e - SIN_SIN_ENERGY))
         assert errs[0] / errs[1] >= 3.5
+
+
+@pytest.mark.parametrize("pair", [
+    lambda a, b: dissipation_source(a, b),
+    lambda a, b: weighted_energy(a, b),
+    lambda a, b: solve_spd(assemble(a), b),
+], ids=["dissipation_source", "weighted_energy", "solve_spd-rhs"])
+def test_fields_on_different_grids_rejected(pair):
+    a = ScalarField.full(make_grid(9, 9, 1.0, 1.0), 1.0)
+    b = ScalarField.full(make_grid(9, 7, 1.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match="different grid"):
+        pair(a, b)

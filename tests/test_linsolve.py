@@ -234,6 +234,15 @@ class TestSolve:
                 solve_spd(huge, ScalarField.full(g, 1.0))
         assert info.value.report.iterations == 1
 
+    def test_indefinite_operator_breaks_down(self):
+        # assemble() admits positive coefficients only; a hand-built -I reaches the check
+        g = make_grid(9, 7, 1.0, 1.0)
+        A = DiffusionOperator(g, np.zeros((g.nx - 1) * g.ny), np.zeros(g.nx * g.ny - 1),
+                              np.full(g.nx * g.ny, -1.0))
+        with pytest.raises(LinearSolveError, match="broke down") as info:
+            solve_spd(A, ScalarField.full(g, 1.0))
+        assert info.value.report.iterations == 1
+
     def test_residual_contract(self):
         g, c, A, rng = random_operator(seed=12)
         b = ScalarField(g, rng.standard_normal(g.shape))

@@ -331,6 +331,16 @@ class TestHolderDiagnostic:
         alpha = holder_diagnostic(ScalarField(g, np.repeat(column[:, None], g.ny, axis=1)))
         assert alpha == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("nx, values", [
+        # no lag fits in a quarter of the edge
+        (3, lambda X, Y: X),
+        # the pair maxima fall with the lag: the slope is negative
+        (16, lambda X, Y: np.where((np.rint(X * 16 - 0.5) % 2) == 0, 1.0, -1.0) + 1e-3 * X),
+    ], ids=["3x3-ramp", "alternating-sign"])
+    def test_degenerate_field_sentinel(self, nx, values):
+        g = make_grid(nx, nx, 1.0, 1.0)
+        assert math.isnan(holder_diagnostic(ScalarField.from_function(g, values)))
+
     def test_constant_sentinel(self):
         g = make_grid(16, 16, 1.0, 1.0)
         assert math.isnan(holder_diagnostic(ScalarField.full(g, 3.0)))
