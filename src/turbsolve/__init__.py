@@ -10,7 +10,7 @@ with homogeneous Dirichlet walls, through truncated approximations
 the discrete counterparts of the pair's a-priori estimates: nonnegativity
 of k, energy and dissipation bounds, the energy and weak product
 identities, level-set extinction of u, stability of sqrt(nu(k)) in the H1
-seminorm, and the sup bound on chi = k + (gamma/2) u^2 for proportional
+seminorm, and the sup bound on chi = k + u^2/(2 gamma) for proportional
 coefficient pairs.
 """
 

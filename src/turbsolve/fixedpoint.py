@@ -10,16 +10,20 @@ where a_n = gamma * min(n, nu(.)) for proportional pairs (gamma set) and
 min(n, a(.)) otherwise, and D(u, c) is the cell dissipation density
 produced by :func:`dissipation_source`.
 
-D is built per face and averaged to cells from the same flat stencil
-weights as the assembled operator (:func:`turbsolve._kernels.stencil_weights`).
-That choice makes two substitution identities hold *algebraically* (not
-just to O(h^2)):
+D is read off the assembled operator A(c) itself: its flat stencil weights
+(:func:`turbsolve._kernels.stencil_weights`), averaged from faces to
+cells.  Within an outer iteration the u-solve's operator A(nu_n(k)) is the
+one carrier of nu_n(k): the k-update takes it and forms its source from
+it.  Sharing the weights makes two substitution identities hold
+*algebraically* (not just to O(h^2)):
 
 * tested with u itself, the u-equation gives the energy identity
   sum f u m = weighted_energy(nu_n(k), u);
-* A(c)(u^2/2) = u * A(c)u - D(u, c) cellwise, so for proportional pairs
-  with gamma = 1 the auxiliary unknown chi = k + (gamma/2) u^2 solves
-  A(a_n(k)) chi = f u exactly whenever (u, k) solves the pair above.
+* A(c)(u^2/2) = u * A(c)u - D(u, c) cellwise.  With c = a_n = gamma nu_n
+  for a proportional pair, dividing by gamma shows that the auxiliary
+  unknown chi = k + u^2/(2 gamma) solves A(a_n(k)) chi = f u whenever
+  (u, k) solves the pair above and the source cap min(n, .) binds
+  nowhere.
 
 The verification module and the cross-route checks rely on both.
 
@@ -59,8 +63,8 @@ from .coeffs import (
     kirchhoff_A_inv,
     truncated_coefficients,
 )
-from .grid import ScalarField, linf_norm, weighted_energy
-from .linsolve import INNER_TOL, LinearSolveReport, assemble, solve_spd
+from .grid import ScalarField, linf_norm
+from .linsolve import INNER_TOL, DiffusionOperator, LinearSolveReport, assemble, solve_spd
 
 ROUTES = ("direct", "kirchhoff", "chi")
 
@@ -122,32 +126,35 @@ class KStep(NamedTuple):
     chi: Optional[ScalarField] = None  # the chi route's auxiliary unknown
 
 
-def dissipation_source(u: ScalarField, c: ScalarField) -> ScalarField:
-    """Cell dissipation density: face-quadrature average of c |grad u|^2.
+def dissipation_source(u: ScalarField, A: DiffusionOperator) -> ScalarField:
+    """Cell dissipation density D(u, c) of the assembled operator A = A(c).
 
-    Per cell, half the sum over its four faces of c_f |du|_f^2 with the
-    face coefficient averaged arithmetically (wall faces use the inner
-    cell) and wall faces at half weight.  Cells tile the faces, so
-    interior faces are shared by two cells; summed against any cell field
-    this reproduces the operator pairing exactly.  Passing c = 1 yields
-    the discrete |grad u|^2 cell quantity.  The face terms come from the
-    flat stencil weights that :func:`~turbsolve.linsolve.assemble` gives
-    the operator A(c).
+    A face-quadrature average of c |grad u|^2: per cell, half the sum over
+    its four faces of c_f |du|_f^2 with the face coefficient averaged
+    arithmetically (wall faces use the inner cell) and wall faces at half
+    weight.  Cells tile the faces, so interior faces are shared by two
+    cells; summed against any cell field this reproduces the operator
+    pairing exactly.  A = A(1) yields the discrete |grad u|^2 cell
+    quantity.  The face terms are read off A's flat stencil weights; no
+    stencil is built here.
     """
-    if u.grid != c.grid:
-        raise ValueError("field and coefficient live on different grids")
-    g = u.grid
-    weights = _kernels.stencil_weights(c.values, g.hx, g.hy)
+    if u.grid != A.grid:
+        raise ValueError("field and operator live on different grids")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
-        density = _kernels.dissipation_cells(u.values, *weights)
+        density = _kernels.dissipation_cells(u.values, A.wx, A.wy, A.wd)
     if not np.all(np.isfinite(density)):
         raise ValueError("the dissipation density c |grad u|^2 overflows float64")
-    return ScalarField(g, density)
+    return ScalarField(u.grid, density)
 
 
-def _truncated_source(u: ScalarField, nu_n: np.ndarray, n: int):
-    """k-equation source min(n, D(u, nu_n)) and whether the cap bound anywhere."""
-    raw = dissipation_source(u, ScalarField(u.grid, nu_n)).values
+def _truncated_source(u: ScalarField, A_nu: DiffusionOperator, n: int):
+    """k-equation source min(n, D(u, nu_n)) from A_nu = A(nu_n), and whether the cap bound anywhere.
+
+    n is checked here, so a k-update that evaluates no coefficient still
+    rejects a level that is not a positive integer before it solves.
+    """
+    n = _check_level(n)
+    raw = dissipation_source(u, A_nu).values
     return np.minimum(float(n), raw), bool(np.any(raw > n))
 
 
@@ -161,30 +168,33 @@ def _clamp(values: np.ndarray):
 def solve_u_given_k(
     k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL,
     u0: Optional[ScalarField] = None, loose_tol: float = 0.0,
-) -> tuple[ScalarField, LinearSolveReport]:
+) -> tuple[ScalarField, LinearSolveReport, DiffusionOperator]:
     """u-solve with frozen coefficient min(n, nu(k)), the inner solve started from u0.
 
-    Returns u and the inner solve's report.  Here and in the k-updates,
-    ``inner_tol`` and ``loose_tol`` are the tol and loose_tol of
-    :func:`~turbsolve.linsolve.solve_spd`.
+    Returns u, the inner solve's report and the operator A(nu_n(k)) it
+    solved with, from which the k-updates read their source.  Here and in
+    the k-updates, ``inner_tol`` and ``loose_tol`` are the tol and
+    loose_tol of :func:`~turbsolve.linsolve.solve_spd`.
     """
     nu_n, _, _ = truncated_coefficients(m, k.values, n)
     op = assemble(ScalarField(k.grid, nu_n))
-    return solve_spd(op, f, tol=inner_tol, x0=u0, loose_tol=loose_tol)
+    return (*solve_spd(op, f, tol=inner_tol, x0=u0, loose_tol=loose_tol), op)
 
 
 def solve_k_given_u(
-    u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL,
-    loose_tol: float = 0.0,
+    u: ScalarField, k_lag: ScalarField, A_nu: DiffusionOperator, m: ViscosityModel, n: int,
+    inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
     """One lagged k-update: coefficient and source frozen at k_lag.
 
-    The inner solve starts from k_lag.  The solve result is clamped at
-    zero; the monotone operator makes negative cells impossible for this
-    nonnegative source, so any clamp is a scheme anomaly and is counted.
+    A_nu is A(nu_n(k_lag)), the operator u was solved with; the source
+    min(n, D(u, nu_n)) is read off it.  The inner solve starts from k_lag.
+    The solve result is clamped at zero; the monotone operator makes
+    negative cells impossible for this nonnegative source, so any clamp is
+    a scheme anomaly and is counted.
     """
-    nu_n, a_n, _ = truncated_coefficients(m, k_lag.values, n)
-    source, _ = _truncated_source(u, nu_n, n)
+    _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
+    source, _ = _truncated_source(u, A_nu, n)
     op = assemble(ScalarField(u.grid, a_n))
     k, report = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol, x0=k_lag,
                           loose_tol=loose_tol)
@@ -193,21 +203,22 @@ def solve_k_given_u(
 
 
 def kirchhoff_k_solve(
-    u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int, inner_tol: float = INNER_TOL,
-    loose_tol: float = 0.0,
+    u: ScalarField, k_lag: ScalarField, A_nu: DiffusionOperator, m: ViscosityModel, n: int,
+    inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
     """Alternative k-update through the flux transform.
 
     With K = A(k) the k-equation becomes constant-coefficient:
-    -Lap K = min(n, D(u, nu_n(k_lag))).  The update solves that Poisson
-    problem from A(k_lag), like every inner solve from the current iterate
-    (so a k_lag far above the load's scale raises as on the other routes),
-    and maps back through A_inv; for constant a it reduces algebraically
-    to the direct update.
+    -Lap K = min(n, D(u, nu_n(k_lag))), the source read off
+    A_nu = A(nu_n(k_lag)) as on the direct route, so the update evaluates
+    no coefficient, only the transform and its inverse.  It solves that
+    Poisson problem from A(k_lag), like every inner solve from the current
+    iterate (so a k_lag far above the load's scale raises as on the other
+    routes), and maps back through A_inv; for constant a it reduces
+    algebraically to the direct update.
     """
     g = u.grid
-    nu_n, _, _ = truncated_coefficients(m, k_lag.values, n)
-    source, _ = _truncated_source(u, nu_n, n)
+    source, _ = _truncated_source(u, A_nu, n)
     op = assemble(ScalarField.full(g, 1.0))
     K0 = ScalarField(g, kirchhoff_A(m, k_lag.values))
     K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=K0, loose_tol=loose_tol)
@@ -216,16 +227,18 @@ def kirchhoff_k_solve(
 
 
 def _chi_k_step(
-    f: ScalarField, u: ScalarField, k_lag: ScalarField, m: ViscosityModel, n: int,
-    inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
+    f: ScalarField, u: ScalarField, k_lag: ScalarField, A_nu: DiffusionOperator,
+    m: ViscosityModel, n: int, inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
-    """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - (gamma/2) u^2).
+    """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - u^2/(2 gamma)).
 
-    The inner solve starts from k_lag + (gamma/2) u^2.
+    The inner solve starts from k_lag + u^2/(2 gamma).  A_nu is taken, and
+    not read, so that the driver calls every k-update alike: the source
+    f u needs no operator.
     """
     _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
     op = assemble(ScalarField(u.grid, a_n))
-    half_u2 = 0.5 * m.gamma * u.values**2
+    half_u2 = 0.5 / m.gamma * u.values**2
     chi, report = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol,
                             x0=ScalarField(u.grid, k_lag.values + half_u2), loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(chi.values - half_u2)
@@ -233,14 +246,20 @@ def _chi_k_step(
 
 
 def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
+    """The report of the pair (u, k), from A(nu_n(k)) and A(a_n(k)), each built once.
+
+    The source and the energy come from A(nu_n), the k-residual and the
+    dissipation from A(a_n); each energy is weighted_energy's sum, read off
+    the operator.
+    """
     nu_n, a_n, coeff_clip = truncated_coefficients(m, k.values, n)
-    source, src_clip = _truncated_source(u, nu_n, n)
-    op = assemble(ScalarField(u.grid, a_n))
-    resid = op.apply(k.values) - source
+    A_nu, A_a = assemble(ScalarField(u.grid, nu_n)), assemble(ScalarField(u.grid, a_n))
+    source, src_clip = _truncated_source(u, A_nu, n)
+    resid = A_a.apply(k.values) - source
     scale = max(float(np.linalg.norm(source)), 1e-300)
     k_residual = float(np.linalg.norm(resid)) / scale
-    energy = weighted_energy(ScalarField(u.grid, nu_n), u)
-    dissipation = weighted_energy(ScalarField(u.grid, a_n), k)
+    energy, dissipation = (_kernels.stencil_energy(v.values, A.wx, A.wy, A.wd) * u.grid.cell_area
+                           for A, v in ((A_nu, u), (A_a, k)))
     return SolveReport(
         n=n,
         outer_iterations=iterations,
@@ -292,9 +311,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
-        u_new, u_solve = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u,
-                                         loose_tol=loose_tol)
-        kstep = k_step(u_new, k, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
+        u_new, u_solve, A_nu = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u,
+                                               loose_tol=loose_tol)
+        kstep = k_step(u_new, k, A_nu, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
         clamp_total += kstep.clamp_count
         k_vals = (1.0 - omega) * k.values + omega * kstep.field.values
         k_new = ScalarField(k.grid, k_vals)
@@ -316,7 +335,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         prev_increment = increment
 
     if converged:
-        u, _ = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
+        u, _, _ = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
     report = _final_report(m, n, u, k, iterations, converged, increment, clamp_total)
     return u, k, report, kstep
 
@@ -354,15 +373,15 @@ def chi_decoupled_solve(
     u0: Optional[ScalarField] = None,
     k0: Optional[ScalarField] = None,
 ) -> tuple[ScalarField, ScalarField, ScalarField, SolveReport]:
-    """Proportional-pair route through chi = k + (gamma/2) u^2.
+    """Proportional-pair route through chi = k + u^2/(2 gamma).
 
     Iterates: solve u with coefficient nu_n(k); solve chi from
-    A(a_n(k)) chi = f u; recover k = max(0, chi - (gamma/2) u^2).
+    A(a_n(k)) chi = f u; recover k = max(0, chi - u^2/(2 gamma)).
     Requires gamma set (a = gamma * nu): ``check_route`` raises H2 before
-    any solve otherwise.  For gamma = 1 its fixed points coincide with the
-    direct route whenever no truncation is active.  As on the other
-    routes, u is re-solved at the final k on convergence; the returned chi
-    is the last iterate's.
+    any solve otherwise.  At every gamma its fixed points coincide with
+    the direct route's whenever the source cap min(n, D) binds nowhere.
+    As on the other routes, u is re-solved at the final k on convergence;
+    the returned chi is the last iterate's.
     """
     n = _check_level(n)  # an int level for the report
     check_route("chi", m)

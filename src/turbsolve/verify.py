@@ -13,7 +13,8 @@ accuracy rather than to discretization accuracy.
   above |u|_inf;
 * seminorm of sqrt(nu_n(k)) over interior faces (the wall value of the
   composed field is a nonzero constant, so wall faces are excluded);
-* chi = k + (gamma/2) u^2 sup bound for proportional pairs;
+* chi = k + u^2/(2 gamma) sup bound for proportional pairs, the chi that
+  solves A(a_n(k)) chi = f u where the source cap binds nowhere;
 * a dyadic-lag log-log slope as a Holder-continuity diagnostic;
 * exponent bookkeeping rho = 3r/(3-r), beta = 3(rho-2)/rho for the
   integrability exponent r of the load.
@@ -30,6 +31,7 @@ from . import _kernels
 from .coeffs import ViscosityModel, truncated_coefficients
 from .fixedpoint import PicardConfig, picard_solve
 from .grid import Grid, ScalarField, integrate, linf_norm, make_grid, weighted_energy
+from .linsolve import assemble
 
 ABS_FLOOR = 1e-14
 _FLUX_EXPONENT = 1.4  # the p < 3/2 at which full_report measures the flux bound
@@ -134,8 +136,8 @@ def idee_residual(
     if test_set is None:
         test_set = default_test_fields(u.grid)
     g = u.grid
-    nu_n, _, _ = truncated_coefficients(m, k.values, n)
-    *faces, wd = _kernels.stencil_weights(nu_n, g.hx, g.hy)
+    A = assemble(ScalarField(g, truncated_coefficients(m, k.values, n)[0]))
+    faces, wd = (A.wx, A.wy), A.wd
     energy = _kernels.stencil_energy(u.values, *faces, wd) * g.cell_area
     uf = u.values.reshape(-1)
     wall = wd * uf * uf
@@ -208,10 +210,10 @@ def sqrt_nu_seminorm(k: ScalarField, m: ViscosityModel, n: int) -> float:
 
 
 def chi_bound_check(u: ScalarField, k: ScalarField, gamma: float) -> float:
-    """Sup norm of chi = k + (gamma/2) u^2 (proportional pairs)."""
+    """Sup norm of chi = k + u^2/(2 gamma) (proportional pairs)."""
     if not gamma > 0:  # fails on NaN as well
         raise ValueError("gamma must be positive")
-    return linf_norm(ScalarField(u.grid, k.values + 0.5 * gamma * u.values**2))
+    return linf_norm(ScalarField(u.grid, k.values + 0.5 / gamma * u.values**2))
 
 
 def holder_diagnostic(v: ScalarField) -> float:
@@ -261,10 +263,10 @@ def lp_flux_norm(k: ScalarField, m: ViscosityModel, n: int, p: float) -> float:
         raise ValueError(f"the flux exponent must lie in [1, 3/2), got p = {p}")
     g = k.grid
     _, a_n, _ = truncated_coefficients(m, k.values, n)
-    wx, wy, _ = _kernels.stencil_weights(a_n, g.hx, g.hy)
+    A = assemble(ScalarField(g, a_n))
     kf = k.values.reshape(-1)
     interior = 0.0
-    for w, h in ((wx, g.hx), (wy, g.hy)):
+    for w, h in ((A.wx, g.hx), (A.wy, g.hy)):
         dk, _ = _kernels.face_differences(kf, w)
         interior += float(np.sum(np.abs(w * h * dk) ** p))
     wall = np.abs(a_n * k.values)  # the flux times h/2 on a wall face

@@ -16,6 +16,7 @@ from turbsolve import (
     PicardConfig,
     ScalarField,
     ViscosityModel,
+    assemble,
     dissipation_source,
     energy_identity_residual,
     idee_residual,
@@ -114,7 +115,7 @@ def test_criterion_02_decoupled_oracle(mms_run):
 
     A = (sp.kron(lap1d(g.nx, g.hx), sp.identity(g.ny))
          + sp.kron(sp.identity(g.nx), lap1d(g.ny, g.hy))).tocsr()
-    source = dissipation_source(u, ScalarField.full(g, 1.0))
+    source = dissipation_source(u, assemble(ScalarField.full(g, 1.0)))
     oracle = spla.spsolve(A, source.values.ravel()).reshape(g.shape)
     elapsed = solve_time + (time.perf_counter() - t0)
     diff = float(np.max(np.abs(oracle - k.values)))

@@ -193,7 +193,7 @@ class TestWeightedEnergy:
 
 
 @pytest.mark.parametrize("pair", [
-    lambda a, b: dissipation_source(a, b),
+    lambda a, b: dissipation_source(a, assemble(b)),
     lambda a, b: weighted_energy(a, b),
     lambda a, b: solve_spd(assemble(a), b),
 ], ids=["dissipation_source", "weighted_energy", "solve_spd-rhs"])

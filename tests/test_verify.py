@@ -7,6 +7,7 @@ from turbsolve import (
     PicardConfig,
     ScalarField,
     ViscosityModel,
+    assemble,
     chi_bound_check,
     energy_identity_residual,
     full_report,
@@ -18,6 +19,7 @@ from turbsolve import (
     lp_flux_norm,
     make_grid,
     picard_solve,
+    solve_spd,
     sqrt_nu_seminorm,
     stampacchia_exponents,
     weighted_energy,
@@ -293,9 +295,27 @@ class TestChiBound:
         assert chi_bound_check(z, z, 1.0) == 0.0
 
     def test_unit_fields(self):
+        # chi = k + u^2/(2 gamma) = 1 + 1/4
         g = make_grid(4, 4, 1.0, 1.0)
         ones = ScalarField.full(g, 1.0)
-        assert chi_bound_check(ones, ones, 2.0) == pytest.approx(2.0)
+        assert chi_bound_check(ones, ones, 2.0) == pytest.approx(1.25)
+
+    def test_bounds_the_chi_of_the_pair_at_gamma_2(self):
+        # the chi of a solved pair with no cap active solves A(a_n(k)) chi = f u;
+        # k + (gamma/2) u^2 overstated its sup norm by a factor of 2.8 here
+        gamma = 2.0
+        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=gamma, a2=gamma,
+                           gamma=gamma, delta=1.0)
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0, sigma=0.1)
+        u, k, report = picard_solve(m, 10**6, f, PicardConfig(tol=1e-11))
+        assert report.converged and not report.truncation_active
+        a_n = truncated_coefficients(m, k.values, 10**6)[1]
+        chi, _ = solve_spd(assemble(ScalarField(g, a_n)), ScalarField(g, f.values * u.values),
+                           tol=1e-13)
+        bound = chi_bound_check(u, k, gamma)
+        assert bound == pytest.approx(linf_norm(chi), rel=1e-9)
+        assert full_report(u, k, f, m, 10**6).chi_linf == bound
 
     def test_rejects_bad_gamma(self):
         g = make_grid(4, 4, 1.0, 1.0)
