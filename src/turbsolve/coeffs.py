@@ -26,6 +26,7 @@ no tolerance: a cubic in sqrt(s) on the sqrt family, a quadratic per segment.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,9 +156,14 @@ def _is_integer(value) -> bool:
 
 
 def _check_level(n) -> int:
-    """n as an int; ValueError unless n is a positive integer (see ``_is_integer``)."""
-    if not (_is_integer(n) and n >= 1):
-        raise ValueError(f"truncation level must be a positive integer, got {n!r}")
+    """n as an int; ValueError unless n is a positive integer (see ``_is_integer``).
+
+    n must also lie in float range, since the caps compare against float(n).
+    """
+    if not (_is_integer(n) and 1 <= n <= sys.float_info.max):
+        above = _is_integer(n) and n > 1
+        raise ValueError(f"truncation level must be a positive integer, got {n!r}"
+                         + (" (above the float range)" if above else ""))
     return int(n)
 
 

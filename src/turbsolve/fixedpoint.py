@@ -64,7 +64,8 @@ from .coeffs import (
     truncated_coefficients,
 )
 from .grid import ScalarField, linf_norm
-from .linsolve import INNER_TOL, DiffusionOperator, LinearSolveReport, assemble, solve_spd
+from .linsolve import (INNER_TOL, DiffusionOperator, LinearSolveReport, assemble, solve_spd,
+                       unit_operator)
 
 ROUTES = ("direct", "kirchhoff", "chi")
 
@@ -212,16 +213,16 @@ def kirchhoff_k_solve(
     -Lap K = min(n, D(u, nu_n(k_lag))), the source read off
     A_nu = A(nu_n(k_lag)) as on the direct route, so the update evaluates
     no coefficient, only the transform and its inverse.  It solves that
-    Poisson problem from A(k_lag), like every inner solve from the current
-    iterate (so a k_lag far above the load's scale raises as on the other
-    routes), and maps back through A_inv; for constant a it reduces
-    algebraically to the direct update.
+    Poisson problem on the grid's shared A(1) from A(k_lag), like every
+    inner solve from the current iterate (so a k_lag far above the load's
+    scale raises as on the other routes), and maps back through A_inv; for
+    constant a it reduces algebraically to the direct update.
     """
     g = u.grid
     source, _ = _truncated_source(u, A_nu, n)
-    op = assemble(ScalarField.full(g, 1.0))
     K0 = ScalarField(g, kirchhoff_A(m, k_lag.values))
-    K, report = solve_spd(op, ScalarField(g, source), tol=inner_tol, x0=K0, loose_tol=loose_tol)
+    K, report = solve_spd(unit_operator(g), ScalarField(g, source), tol=inner_tol, x0=K0,
+                          loose_tol=loose_tol)
     K_vals, clamp_count = _clamp(K.values)
     return KStep(ScalarField(g, kirchhoff_A_inv(m, K_vals)), clamp_count, report)
 
@@ -249,24 +250,20 @@ def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
     """The report of the pair (u, k), from A(nu_n(k)) and A(a_n(k)), each built once.
 
     The source and the energy come from A(nu_n), the k-residual and the
-    dissipation from A(a_n); each energy is weighted_energy's sum, read off
-    the operator.
+    dissipation from A(a_n); each energy is read off its operator.
     """
     nu_n, a_n, coeff_clip = truncated_coefficients(m, k.values, n)
     A_nu, A_a = assemble(ScalarField(u.grid, nu_n)), assemble(ScalarField(u.grid, a_n))
     source, src_clip = _truncated_source(u, A_nu, n)
-    resid = A_a.apply(k.values) - source
     scale = max(float(np.linalg.norm(source)), 1e-300)
-    k_residual = float(np.linalg.norm(resid)) / scale
-    energy, dissipation = (_kernels.stencil_energy(v.values, A.wx, A.wy, A.wd) * u.grid.cell_area
-                           for A, v in ((A_nu, u), (A_a, k)))
+    k_residual = float(np.linalg.norm(A_a.apply(k.values) - source)) / scale
     return SolveReport(
         n=n,
         outer_iterations=iterations,
         converged=converged,
         final_increment=increment,
-        energy=energy,
-        dissipation=dissipation,
+        energy=A_nu.energy(u),
+        dissipation=A_a.energy(k),
         linf_u=linf_norm(u),
         linf_k=linf_norm(k),
         truncation_active=bool(coeff_clip or src_clip),

@@ -131,6 +131,7 @@ def face_average(c: np.ndarray):
     return cfx, cfy
 
 
+# No package module calls this; it stays for the benchmark's tracer and as the tests' reference.
 def weighted_energy(c: ScalarField, v: ScalarField) -> float:
     """Face-quadrature energy  sum_f c_f |dv|_f^2 w_f  ~ integral c|grad v|^2.
 

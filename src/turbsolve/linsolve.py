@@ -86,6 +86,12 @@ class DiffusionOperator:
             raise ValueError("out must be C-contiguous")
         return _kernels.diffusion_matvec(v, self.wx, self.wy, self.wd, out, self._t)
 
+    def energy(self, v: ScalarField) -> float:
+        """<A v, v> hx hy, the face-quadrature energy of v: ``weighted_energy``'s sum."""
+        if v.grid != self.grid:
+            raise ValueError("field and operator live on different grids")
+        return _kernels.stencil_energy(v.values, self.wx, self.wy, self.wd) * self.grid.cell_area
+
     def norm_inf(self) -> float:
         """||A||_inf, the largest absolute row sum: wd plus twice the weights of the cell's faces."""
         rows = self.wd.copy()
@@ -166,6 +172,15 @@ def assemble(c: ScalarField) -> DiffusionOperator:
         raise ValueError("diffusion coefficient must be positive cellwise")
     g = c.grid
     return DiffusionOperator(g, *_kernels.stencil_weights(c.values, g.hx, g.hy))
+
+
+@lru_cache(maxsize=8)
+def unit_operator(grid: Grid) -> DiffusionOperator:
+    """A(1) of a grid, assembled once per grid and shared by its solves.
+
+    Its applies share one scratch vector, so no two solves on it may run at once.
+    """
+    return assemble(ScalarField.full(grid, 1.0))
 
 
 def solve_spd(

@@ -1,11 +1,15 @@
 """Numerical certification of the a-priori estimates on solved fields.
 
-Every check is a pure read-only function over (u, k, f, model, n) that
-reuses the solver's own discrete operators, so identities that are
-algebraic consequences of the discrete equations hold to inner-solve
-accuracy rather than to discretization accuracy.
+Every check is a pure read-only function that reuses the solver's own
+discrete operators, so identities that are algebraic consequences of the
+discrete equations hold to inner-solve accuracy rather than to
+discretization accuracy.  :func:`full_report` evaluates the truncated
+coefficients nu_n(k), a_n(k) once and assembles A(nu_n) and A(a_n) once,
+and each estimate takes what it reads: ``idee_residual(u, f, A_nu)``,
+``sqrt_nu_seminorm(nu_n)``, ``lp_flux_norm(k, a_n, A_a, p)``.
+``energy_identity_residual(u, k, f, m, n)`` assembles its own A(nu_n).
 
-* energy identity: sum f u m  vs  weighted_energy(nu_n(k), u);
+* energy identity: sum f u m  vs  the energy <A(nu_n(k)) u, u> m;
 * weak product identity: testing the u-equation with u*phi splits face by
   face into a dissipation term, a load term and a convective term, and the
   three must cancel for every test field;
@@ -30,8 +34,8 @@ import numpy as np
 from . import _kernels
 from .coeffs import ViscosityModel, truncated_coefficients
 from .fixedpoint import PicardConfig, picard_solve
-from .grid import Grid, ScalarField, integrate, linf_norm, make_grid, weighted_energy
-from .linsolve import assemble
+from .grid import Grid, ScalarField, integrate, linf_norm, make_grid
+from .linsolve import DiffusionOperator, assemble
 
 ABS_FLOOR = 1e-14
 _FLUX_EXPONENT = 1.4  # the p < 3/2 at which full_report measures the flux bound
@@ -74,10 +78,8 @@ class InvariantReport:
         return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
 
 
-def energy_identity_residual(
-    u: ScalarField, k: ScalarField, f: ScalarField, m: ViscosityModel, n: int
-) -> float:
-    """|E - sum f u m| / max(|sum f u m|, 1e-14) with E the face energy.
+def _energy_identity(u: ScalarField, f: ScalarField, A_nu: DiffusionOperator) -> float:
+    """|E - sum f u m| / max(|sum f u m|, 1e-14) with E = <A_nu u, u> m the face energy.
 
     u and f are first divided by 2^e_u and 2^e_f, the powers of two at or
     above their maxima, and E by 2^(e_u + e_f) to match, so that neither E
@@ -86,13 +88,20 @@ def energy_identity_residual(
     lie above the floor and nothing underflows, the residual is the unscaled
     one bit for bit.
     """
-    nu_n, _, _ = truncated_coefficients(m, k.values, n)
     e_u, e_f = (math.frexp(linf_norm(v))[1] for v in (u, f))
     scaled = ScalarField(u.grid, np.ldexp(u.values, -e_u))
     with np.errstate(over="ignore"):  # an E too large to pair with the load reads inf
-        E = float(np.ldexp(weighted_energy(ScalarField(k.grid, nu_n), scaled), e_u - e_f))
+        E = float(np.ldexp(A_nu.energy(scaled), e_u - e_f))
     load = integrate(ScalarField(u.grid, np.ldexp(f.values, -e_f) * scaled.values))
     return abs(E - load) / max(abs(load), ABS_FLOOR)
+
+
+def energy_identity_residual(
+    u: ScalarField, k: ScalarField, f: ScalarField, m: ViscosityModel, n: int
+) -> float:
+    """The energy-identity residual of (u, k) on A(nu_n(k)); see ``_energy_identity``."""
+    nu_n = ScalarField(k.grid, truncated_coefficients(m, k.values, n)[0])
+    return _energy_identity(u, f, assemble(nu_n))
 
 
 def default_test_fields(grid: Grid) -> list[ScalarField]:
@@ -114,16 +123,11 @@ def default_test_fields(grid: Grid) -> list[ScalarField]:
 
 
 def idee_residual(
-    u: ScalarField,
-    k: ScalarField,
-    f: ScalarField,
-    m: ViscosityModel,
-    n: int,
-    test_set: Optional[list] = None,
+    u: ScalarField, f: ScalarField, A_nu: DiffusionOperator, test_set: Optional[list] = None
 ) -> float:
     """Max over test fields phi of the normalized product-identity defect.
 
-    On the flat stencil (w per interior face, wd per wall cell) of
+    On the flat stencil (w per interior face, wd per wall cell) of A_nu =
     A(nu_n(k)), testing the discrete u-equation with u*phi splits exactly into
         T1(phi): sum w (du)^2 mean(phi) m + sum wd u^2 phi m  (dissipation)
         T2(phi): sum f u phi m                                 (load)
@@ -136,13 +140,11 @@ def idee_residual(
     if test_set is None:
         test_set = default_test_fields(u.grid)
     g = u.grid
-    A = assemble(ScalarField(g, truncated_coefficients(m, k.values, n)[0]))
-    faces, wd = (A.wx, A.wy), A.wd
-    energy = _kernels.stencil_energy(u.values, *faces, wd) * g.cell_area
+    energy = A_nu.energy(u)
     uf = u.values.reshape(-1)
-    wall = wd * uf * uf
+    wall = A_nu.wd * uf * uf
     families = []  # per face family: its offset s, w (du)^2 / 2 and w mean(u) du
-    for w in faces:
+    for w in (A_nu.wx, A_nu.wy):
         du, s = _kernels.face_differences(uf, w)
         flux = w * du
         families.append((s, 0.5 * flux * du, 0.5 * flux * (uf[s:] + uf[:-s])))
@@ -194,19 +196,18 @@ def stampacchia_exponents(r: float) -> tuple[float, float]:
     return rho, beta
 
 
-def sqrt_nu_seminorm(k: ScalarField, m: ViscosityModel, n: int) -> float:
-    """L2 norm of the interior face gradient of sqrt(min(n, nu(k))).
+def sqrt_nu_seminorm(nu_n: ScalarField) -> float:
+    """L2 norm of the interior face gradient of sqrt(nu_n), nu_n = min(n, nu(k)).
 
     Wall faces are excluded: the composed field equals sqrt(nu_n(0)) on the
     walls, a nonzero constant, so the Dirichlet mirror would manufacture
     spurious gradients there.  Constant fields give exactly zero.
     """
-    g = k.grid
-    root = np.sqrt(truncated_coefficients(m, k.values, n)[0])
+    g = nu_n.grid
+    root = np.sqrt(nu_n.values)
     gx = (root[1:, :] - root[:-1, :]) / g.hx
     gy = (root[:, 1:] - root[:, :-1]) / g.hy
-    m_cell = g.cell_area
-    return math.sqrt(float(np.sum(gx * gx) + np.sum(gy * gy)) * m_cell)
+    return math.sqrt(float(np.sum(gx * gx) + np.sum(gy * gy)) * g.cell_area)
 
 
 def chi_bound_check(u: ScalarField, k: ScalarField, gamma: float) -> float:
@@ -249,27 +250,25 @@ def holder_diagnostic(v: ScalarField) -> float:
     return min(slope, 1.0)
 
 
-def lp_flux_norm(k: ScalarField, m: ViscosityModel, n: int, p: float) -> float:
-    """(integral |a_n(k) grad k|^p)^(1/p) on faces, p < 3/2.
+def lp_flux_norm(k: ScalarField, a_n: ScalarField, A_a: DiffusionOperator, p: float) -> float:
+    """(integral |a_n grad k|^p)^(1/p) on faces, p < 3/2, with a_n = a_n(k) and A_a = A(a_n).
 
     Each face carries half its quadrature measure so the x- and y-face
     families together tile the domain exactly once; with that measure the
     Holder interpolation bound between exponents holds with the plain
-    domain measure.  An interior face of flat stencil weight w has flux
-    w h |dk|; a wall face has |2 a_n k / h| of its cell, read off the boundary
-    rows, because wd merges a corner cell's x and y wall faces.
+    domain measure.  An interior face of flat stencil weight w in A_a has
+    flux w h |dk|; a wall face has |2 a_n k / h| of its cell, read off the
+    boundary rows of a_n, because wd merges a corner cell's x and y wall faces.
     """
     if not 1.0 <= p < 1.5:
         raise ValueError(f"the flux exponent must lie in [1, 3/2), got p = {p}")
     g = k.grid
-    _, a_n, _ = truncated_coefficients(m, k.values, n)
-    A = assemble(ScalarField(g, a_n))
     kf = k.values.reshape(-1)
     interior = 0.0
-    for w, h in ((A.wx, g.hx), (A.wy, g.hy)):
+    for w, h in ((A_a.wx, g.hx), (A_a.wy, g.hy)):
         dk, _ = _kernels.face_differences(kf, w)
         interior += float(np.sum(np.abs(w * h * dk) ** p))
-    wall = np.abs(a_n * k.values)  # the flux times h/2 on a wall face
+    wall = np.abs(a_n.values * k.values)  # the flux times h/2 on a wall face
     walls = (2.0 / g.hx) ** p * float(np.sum(wall[0, :] ** p) + np.sum(wall[-1, :] ** p))
     walls += (2.0 / g.hy) ** p * float(np.sum(wall[:, 0] ** p) + np.sum(wall[:, -1] ** p))
     total = (interior + 0.5 * walls) * (0.5 * g.cell_area)
@@ -285,7 +284,8 @@ def full_report(
     r: float = 2.0,
 ) -> InvariantReport:
     """Populate every certified estimate for one converged pair, for a load in L^r."""
-    nu_n, a_n, _ = truncated_coefficients(m, k.values, n)
+    nu_n, a_n = (ScalarField(k.grid, c) for c in truncated_coefficients(m, k.values, n)[:2])
+    A_nu, A_a = assemble(nu_n), assemble(a_n)
     linf_u = linf_norm(u)
     s_top = linf_u * (1.0 + 1e-12)
     if s_top > 0:
@@ -295,15 +295,15 @@ def full_report(
     rho, beta = stampacchia_exponents(r)
     chi_linf = chi_bound_check(u, k, m.gamma) if m.gamma is not None else None
     return InvariantReport(
-        energy=weighted_energy(ScalarField(k.grid, nu_n), u),
-        dissipation=weighted_energy(ScalarField(k.grid, a_n), k),
-        lp_a_gradk=lp_flux_norm(k, m, n, _FLUX_EXPONENT),
+        energy=A_nu.energy(u),
+        dissipation=A_a.energy(k),
+        lp_a_gradk=lp_flux_norm(k, a_n, A_a, _FLUX_EXPONENT),
         lp_exponent=_FLUX_EXPONENT,
         linf_u=linf_u,
         linf_k=linf_norm(k),
-        energy_identity_rel_residual=energy_identity_residual(u, k, f, m, n),
-        idee_max_residual=idee_residual(u, k, f, m, n),
-        sqrt_nu_h1_seminorm=sqrt_nu_seminorm(k, m, n),
+        energy_identity_rel_residual=_energy_identity(u, f, A_nu),
+        idee_max_residual=idee_residual(u, f, A_nu),
+        sqrt_nu_h1_seminorm=sqrt_nu_seminorm(nu_n),
         chi_linf=chi_linf,
         stampacchia_rho=rho,
         stampacchia_beta=beta,

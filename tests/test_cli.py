@@ -614,7 +614,11 @@ class TestConfigValidation:
         ("2 2", "2", "n_list must be strictly ascending"),
         ("0 2", "2", "must be a positive integer, got 0"),
         ("1 2", "0", "must be a positive integer, got 0"),
-    ], ids=["descending", "repeated", "level-zero", "solver-n-zero"])
+        # an integer level whose float overflows: the caps compare against float(n)
+        ("1 2", str(10**400), "must be a positive integer, got 1000"),
+        (f"1 {10**400}", "2", "must be a positive integer, got 1000"),
+    ], ids=["descending", "repeated", "level-zero", "solver-n-zero", "solver-n-10**400",
+            "level-10**400"])
     def test_bad_levels_rejected_before_output(self, tmp_path, capsys, command, levels, n, message):
         text = BASE.replace("n_list = 1 2 4", f"n_list = {levels}").replace(
             "route = direct", f"route = direct\nn = {n}")
@@ -720,6 +724,14 @@ class TestVerifyInput:
         assert "truncation level must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
         assert run_verify(tmp_path, u, k) == 0
+
+    def test_level_above_the_float_range_rejected(self, tmp_path, capsys):
+        u, k = write_zero_dumps(tmp_path)
+        assert run_verify(tmp_path, u, k, "--n", str(10**400)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation level must be a positive integer, got 1000")
+        assert err.rstrip().endswith("(above the float range)")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dump, edit, message", [
         ("k", lambda lines: lines[:3] + ["-0x1.0624dd2f1a9fcp-0010" + lines[3][24:]] + lines[4:],

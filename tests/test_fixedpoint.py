@@ -16,19 +16,16 @@ from turbsolve import (
     dissipation_source,
     energy_identity_residual,
     full_report,
-    idee_residual,
     kirchhoff_k_solve,
     linf_norm,
-    lp_flux_norm,
     make_grid,
     n_sweep,
     picard_solve,
     solve_k_given_u,
     solve_u_given_k,
-    sqrt_nu_seminorm,
     weighted_energy,
 )
-from turbsolve import _kernels, coeffs, fixedpoint
+from turbsolve import _kernels, coeffs, fixedpoint, linsolve
 from turbsolve.linsolve import INNER_TOL, DiffusionOperator, LinearSolveError
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
@@ -240,14 +237,12 @@ class TestBadLevel:
         lambda u, k, f, A_nu, n: chi_decoupled_solve(HP_UNIT, n, f, PicardConfig()),
         lambda u, k, f, A_nu, n: n_sweep(HP_UNIT, f, [n], PicardConfig()),
         lambda u, k, f, A_nu, n: energy_identity_residual(u, k, f, HP_UNIT, n),
-        lambda u, k, f, A_nu, n: idee_residual(u, k, f, HP_UNIT, n),
-        lambda u, k, f, A_nu, n: sqrt_nu_seminorm(k, HP_UNIT, n),
-        lambda u, k, f, A_nu, n: lp_flux_norm(k, HP_UNIT, n, 1.2),
         lambda u, k, f, A_nu, n: full_report(u, k, f, HP_UNIT, n),
     ], ids=["solve_u_given_k", "solve_k_given_u", "kirchhoff_k_solve", "picard_solve",
-            "chi_decoupled_solve", "n_sweep", "energy_identity_residual", "idee_residual",
-            "sqrt_nu_seminorm", "lp_flux_norm", "full_report"])
-    @pytest.mark.parametrize("n", [0, 2.5, 2.0, math.inf, math.nan, True], ids=repr)
+            "chi_decoupled_solve", "n_sweep", "energy_identity_residual", "full_report"])
+    # 10**400 is an integer whose float overflows
+    @pytest.mark.parametrize("n", [0, 2.5, 2.0, math.inf, math.nan, True, 10**400],
+                             ids=lambda n: "10**400" if n == 10**400 else repr(n))
     def test_raises_before_any_solve(self, monkeypatch, call, n):
         g = make_grid(8, 8, 1.0, 1.0)
         f = gaussian_source(g)
@@ -290,18 +285,18 @@ class TestCheckRoute:
 class TestRelaxationFallback:
     """The k-update relaxation drops from 1 to 0.5 the first time the increment grows.
 
-    Without that drop the second case takes 14 outer iterations.  The
-    first case's increment never grows, so the drop does not fire there.
+    Without that drop the first case stops unconverged at max_outer = 200
+    (last increment about 17) and the second takes 14 outer iterations.
     """
 
     def test_rescues_a_cold_chi_solve(self):
-        g = make_grid(33, 33, 1.0, 1.0)
-        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=2.0, a2=2.0,
-                           gamma=2.0, delta=1.0)
-        f = gaussian_source(g, amplitude=1e4, sigma=0.03, centre=(0.47, 0.53))
-        _, _, _, report = chi_decoupled_solve(m, 4, f, PicardConfig())
+        g = make_grid(9, 9, 1.0, 1.0)
+        m = ViscosityModel(kind="physical_sqrt", nu1=0.7, nu2=5.5, a1=1.4, a2=11.0,
+                           gamma=2.0, delta=0.7)
+        f = gaussian_source(g, amplitude=6e5, sigma=0.2, centre=(0.4, 0.35))
+        _, _, _, report = chi_decoupled_solve(m, 256, f, PicardConfig())
         assert report.converged
-        assert report.outer_iterations <= 45  # 25
+        assert report.outer_iterations <= 60  # 48
 
     def test_fires_on_a_warm_sweep_level(self):
         g = make_grid(17, 17, 1.0, 1.0)
@@ -477,10 +472,12 @@ def solve_level(route, m, n, f, cfg):
 class TestOneOperatorPerIterate:
     def test_two_stencils_per_outer_iteration(self, monkeypatch, route):
         # the u-solve's A(nu_n(k)) and the k-step's own operator; the k-step
-        # reads its source off the first.  The final report builds A(nu_n)
-        # and A(a_n) of the returned pair once each.
+        # reads its source off the first, and the Kirchhoff k-step's A(1) is
+        # built once per grid.  The final report builds A(nu_n) and A(a_n) of
+        # the returned pair once each.
         g = make_grid(17, 17, 1.0, 1.0)
         f = gaussian_source(g, amplitude=50.0)
+        linsolve.unit_operator(g)  # warm, whatever ran before
         builds = count_calls(monkeypatch, _kernels.stencil_weights)
         counts = []
         for max_outer in (1, 2, 3):
@@ -489,7 +486,8 @@ class TestOneOperatorPerIterate:
                                        PicardConfig(tol=1e-14, max_outer=max_outer))
             assert not report.converged
             counts.append(len(builds))
-        assert counts == [2 * j + 2 for j in (1, 2, 3)]
+        per_iteration = 1 if route == "kirchhoff" else 2
+        assert counts == [per_iteration * j + 2 for j in (1, 2, 3)]
 
     def test_report_energies_are_the_weighted_energies(self, route):
         # read off the final report's operators, they equal grid.weighted_energy bit for bit

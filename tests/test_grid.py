@@ -196,7 +196,8 @@ class TestWeightedEnergy:
     lambda a, b: dissipation_source(a, assemble(b)),
     lambda a, b: weighted_energy(a, b),
     lambda a, b: solve_spd(assemble(a), b),
-], ids=["dissipation_source", "weighted_energy", "solve_spd-rhs"])
+    lambda a, b: assemble(a).energy(b),
+], ids=["dissipation_source", "weighted_energy", "solve_spd-rhs", "operator-energy"])
 def test_fields_on_different_grids_rejected(pair):
     a = ScalarField.full(make_grid(9, 9, 1.0, 1.0), 1.0)
     b = ScalarField.full(make_grid(9, 7, 1.0, 1.0), 1.0)

@@ -24,6 +24,7 @@ from turbsolve import (
     stampacchia_exponents,
     weighted_energy,
 )
+from turbsolve import _kernels
 from turbsolve._kernels import face_gradients
 from turbsolve.coeffs import truncated_coefficients
 from turbsolve.grid import face_average
@@ -91,6 +92,16 @@ def face_lp_flux_norm(k, m, n, p):
     return (0.5 * total) ** (1.0 / p)
 
 
+def truncated(k, m, n):
+    """nu_n(k) and a_n(k) as fields, and their operators A(nu_n) and A(a_n)."""
+    nu_n, a_n = (ScalarField(k.grid, c) for c in truncated_coefficients(m, k.values, n)[:2])
+    return nu_n, a_n, assemble(nu_n), assemble(a_n)
+
+
+def A_nu(k, m, n):
+    return truncated(k, m, n)[2]
+
+
 @pytest.fixture(scope="module")
 def random_fields():
     """Non-solution fields on an anisotropic grid, where every defect is O(1)."""
@@ -145,6 +156,13 @@ class TestEnergyIdentity:
         u_s, f_s = (ScalarField(g, np.ldexp(v.values, power)) for v in (u, f))
         assert residual > 0.0 and energy_identity_residual(u_s, k, f_s, HP_UNIT, 8) == residual
 
+    def test_pair_on_different_grids_rejected(self):
+        # the same number of cells, so the flat arrays alone would not tell
+        u = ScalarField.full(make_grid(8, 9, 1.0, 1.0), 1.0)
+        k = ScalarField.full(make_grid(9, 8, 1.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            energy_identity_residual(u, k, u, HP_UNIT, 4)
+
     def test_unconverged_iterate_flagged(self):
         g = make_grid(33, 33, 1.0, 1.0)
         f = gaussian_source(g)
@@ -156,12 +174,12 @@ class TestEnergyIdentity:
 class TestProductIdentity:
     def test_converged_coupled_run(self, coupled_run):
         g, f, u, k = coupled_run
-        assert idee_residual(u, k, f, HP_UNIT, 32) <= 1e-8
+        assert idee_residual(u, f, A_nu(k, HP_UNIT, 32)) <= 1e-8
 
     def test_all_ones_reduces_to_energy_identity(self, coupled_run):
         g, f, u, k = coupled_run
         ones = [ScalarField.full(g, 1.0)]
-        r_idee = idee_residual(u, k, f, HP_UNIT, 32, test_set=ones)
+        r_idee = idee_residual(u, f, A_nu(k, HP_UNIT, 32), test_set=ones)
         E = weighted_energy(ScalarField(g, np.minimum(32.0, HP_UNIT.nu(k.values))), u)
         load = integrate(ScalarField(g, f.values * u.values))
         # same defect |E - load|, different normalizations
@@ -172,7 +190,7 @@ class TestProductIdentity:
     def test_zero_velocity(self):
         g = make_grid(8, 8, 1.0, 1.0)
         z = ScalarField.zeros(g)
-        assert idee_residual(z, z, z, HP_UNIT, 8) == 0.0
+        assert idee_residual(z, z, A_nu(z, HP_UNIT, 8)) == 0.0
 
     def test_default_family_is_fixed(self):
         g = make_grid(16, 16, 1.0, 1.0)
@@ -190,7 +208,8 @@ class TestFlatStencilMatchesFaceArrays:
         for phi in phis:
             ref = face_idee_residual(u, k, f, model, 3, [phi])
             assert ref > 1e-3
-            assert idee_residual(u, k, f, model, 3, test_set=[phi]) == pytest.approx(ref, rel=1e-13)
+            assert idee_residual(u, f, A_nu(k, model, 3), test_set=[phi]) == pytest.approx(
+                ref, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 1.4])
     @pytest.mark.parametrize("model", [SQRT_PAIR, TABLE], ids=["sqrt", "table"])
@@ -198,7 +217,8 @@ class TestFlatStencilMatchesFaceArrays:
         u, k, f, phis = random_fields
         ref = face_lp_flux_norm(k, model, 3, p)
         assert ref > 1.0
-        assert lp_flux_norm(k, model, 3, p) == pytest.approx(ref, rel=1e-13)
+        _, a_n, _, A_a = truncated(k, model, 3)
+        assert lp_flux_norm(k, a_n, A_a, p) == pytest.approx(ref, rel=1e-13)
 
 
 class TestLevelSets:
@@ -277,15 +297,15 @@ class TestExponents:
 class TestSqrtNuSeminorm:
     def test_constant_model(self, coupled_run):
         g, f, u, k = coupled_run
-        assert sqrt_nu_seminorm(k, CONSTANT, 8) == 0.0
+        assert sqrt_nu_seminorm(truncated(k, CONSTANT, 8)[0]) == 0.0
 
     def test_zero_k(self):
         g = make_grid(8, 8, 1.0, 1.0)
-        assert sqrt_nu_seminorm(ScalarField.zeros(g), HP_UNIT, 8) == 0.0
+        assert sqrt_nu_seminorm(truncated(ScalarField.zeros(g), HP_UNIT, 8)[0]) == 0.0
 
     def test_positive_for_varying_k(self, coupled_run):
         g, f, u, k = coupled_run
-        assert sqrt_nu_seminorm(k, HP_UNIT, 32) > 0.0
+        assert sqrt_nu_seminorm(truncated(k, HP_UNIT, 32)[0]) > 0.0
 
 
 class TestChiBound:
@@ -369,15 +389,17 @@ class TestHolderDiagnostic:
 class TestFluxNorm:
     def test_holder_interpolation(self, coupled_run):
         g, f, u, k = coupled_run
-        lo = lp_flux_norm(k, HP_UNIT, 32, 1.2)
-        hi = lp_flux_norm(k, HP_UNIT, 32, 1.4)
+        _, a_n, _, A_a = truncated(k, HP_UNIT, 32)
+        lo = lp_flux_norm(k, a_n, A_a, 1.2)
+        hi = lp_flux_norm(k, a_n, A_a, 1.4)
         bound = hi * g.area ** (1.0 / 1.2 - 1.0 / 1.4)
         assert lo <= bound * (1 + 1e-12)
 
     def test_rejects_large_p(self, coupled_run):
         g, f, u, k = coupled_run
+        _, a_n, _, A_a = truncated(k, HP_UNIT, 32)
         with pytest.raises(ValueError):
-            lp_flux_norm(k, HP_UNIT, 32, 1.5)
+            lp_flux_norm(k, a_n, A_a, 1.5)
 
 
 class TestFullReport:
@@ -401,6 +423,38 @@ class TestFullReport:
         monkeypatch.setattr("turbsolve.grid.face_average", refuse)
         monkeypatch.setattr("turbsolve._kernels.face_gradients", refuse)
         assert full_report(u, k, f, HP_UNIT, 32).to_dict() == expected
+
+    def test_one_coefficient_evaluation_and_two_stencils(self, random_fields, monkeypatch):
+        # nu_n(k) and a_n(k) are evaluated once and A(nu_n) and A(a_n) built once per report
+        u, k, f, _ = random_fields
+        counts = {"nu": 0, "stencil_weights": 0}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(ViscosityModel, "nu")
+        counting(_kernels, "stencil_weights")
+        full_report(u, k, f, HP_UNIT, 3)
+        assert counts == {"nu": 1, "stencil_weights": 2}
+
+    @pytest.mark.parametrize("model", [HP_UNIT, SQRT_PAIR, TABLE], ids=["gamma", "sqrt", "table"])
+    def test_fields_equal_the_standalone_estimates(self, random_fields, model):
+        # bit for bit, on fields where the level 3 truncates nu and a and every defect is O(1)
+        u, k, f, _ = random_fields
+        nu_n, a_n, A_nu, A_a = truncated(k, model, 3)
+        report = full_report(u, k, f, model, 3)
+        assert report.energy == weighted_energy(nu_n, u)
+        assert report.dissipation == weighted_energy(a_n, k)
+        assert report.energy_identity_rel_residual == energy_identity_residual(u, k, f, model, 3)
+        assert report.idee_max_residual == idee_residual(u, f, A_nu)
+        assert report.sqrt_nu_h1_seminorm == sqrt_nu_seminorm(nu_n)
+        assert report.lp_a_gradk == lp_flux_norm(k, a_n, A_a, report.lp_exponent)
+        assert min(report.energy_identity_rel_residual, report.idee_max_residual) > 1e-3
 
     def test_zero_data(self):
         g = make_grid(8, 8, 1.0, 1.0)
