@@ -21,6 +21,7 @@ from .coeffs import (
     kirchhoff_A_inv,
 )
 from .fixedpoint import (
+    FrozenCoefficients,
     KStep,
     PicardConfig,
     SolveReport,
@@ -82,6 +83,7 @@ __all__ = [
     "LinearSolveReport",
     "assemble",
     "solve_spd",
+    "FrozenCoefficients",
     "KStep",
     "PicardConfig",
     "SolveReport",

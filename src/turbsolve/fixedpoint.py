@@ -12,10 +12,11 @@ produced by :func:`dissipation_source`.
 
 D is read off the assembled operator A(c) itself: its flat stencil weights
 (:func:`turbsolve._kernels.stencil_weights`), averaged from faces to
-cells.  Within an outer iteration the u-solve's operator A(nu_n(k)) is the
-one carrier of nu_n(k): the k-update takes it and forms its source from
-it.  Sharing the weights makes two substitution identities hold
-*algebraically* (not just to O(h^2)):
+cells.  An outer iteration evaluates the truncated coefficients once, at
+its lagged k (:class:`FrozenCoefficients`): the u-solve's operator
+A(nu_n(k)) is the one carrier of nu_n(k), and the k-update takes it, forms
+its source from it and reads a_n(k) beside it.  Sharing the weights makes
+two substitution identities hold *algebraically* (not just to O(h^2)):
 
 * tested with u itself, the u-equation gives the energy identity
   sum f u m = weighted_energy(nu_n(k), u);
@@ -166,37 +167,56 @@ def _clamp(values: np.ndarray):
     return (np.where(negative, 0.0, values) if count else values), count
 
 
+class FrozenCoefficients(NamedTuple):
+    """The truncated coefficients at one k, evaluated once: what an outer iteration freezes.
+
+    The u-solve solves with A_nu, the k-updates read their source off it,
+    and the direct and chi k-updates solve with A(a_n).
+    """
+
+    A_nu: DiffusionOperator  # A(nu_n(k))
+    a_n: np.ndarray  # a_n(k), cellwise
+    clipped: bool  # min(n, .) bound somewhere in nu_n or a_n
+
+
+def _freeze(m: ViscosityModel, k: ScalarField, n: int) -> FrozenCoefficients:
+    """The coefficients of level n frozen at k; a bad level or a negative cell of k raises here."""
+    nu_n, a_n, clipped = truncated_coefficients(m, k.values, n)
+    return FrozenCoefficients(assemble(ScalarField(k.grid, nu_n)), a_n, clipped)
+
+
 def solve_u_given_k(
     k: ScalarField, m: ViscosityModel, n: int, f: ScalarField, inner_tol: float = INNER_TOL,
     u0: Optional[ScalarField] = None, loose_tol: float = 0.0,
-) -> tuple[ScalarField, LinearSolveReport, DiffusionOperator]:
+) -> tuple[ScalarField, LinearSolveReport, FrozenCoefficients]:
     """u-solve with frozen coefficient min(n, nu(k)), the inner solve started from u0.
 
-    Returns u, the inner solve's report and the operator A(nu_n(k)) it
-    solved with, from which the k-updates read their source.  Here and in
+    Returns u, the inner solve's report and the coefficients frozen at k,
+    whose A(nu_n(k)) it solved with; the k-updates take them.  Here and in
     the k-updates, ``inner_tol`` and ``loose_tol`` are the tol and
     loose_tol of :func:`~turbsolve.linsolve.solve_spd`.
     """
-    nu_n, _, _ = truncated_coefficients(m, k.values, n)
-    op = assemble(ScalarField(k.grid, nu_n))
-    return (*solve_spd(op, f, tol=inner_tol, x0=u0, loose_tol=loose_tol), op)
+    frozen = _freeze(m, k, n)
+    return (*solve_spd(frozen.A_nu, f, tol=inner_tol, x0=u0, loose_tol=loose_tol), frozen)
 
 
 def solve_k_given_u(
-    u: ScalarField, k_lag: ScalarField, A_nu: DiffusionOperator, m: ViscosityModel, n: int,
+    u: ScalarField, k_lag: ScalarField, frozen: FrozenCoefficients, m: ViscosityModel, n: int,
     inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
     """One lagged k-update: coefficient and source frozen at k_lag.
 
-    A_nu is A(nu_n(k_lag)), the operator u was solved with; the source
-    min(n, D(u, nu_n)) is read off it.  The inner solve starts from k_lag.
-    The solve result is clamped at zero; the monotone operator makes
-    negative cells impossible for this nonnegative source, so any clamp is
-    a scheme anomaly and is counted.
+    ``frozen`` holds the coefficients at k_lag that u was solved with: the
+    source min(n, D(u, nu_n)) is read off its A_nu, and the solve runs on
+    A(a_n).  The inner solve starts from k_lag, which m's domain check
+    rejects if negative, though no coefficient is evaluated here.  The
+    solve result is clamped at zero; the monotone operator makes negative
+    cells impossible for this nonnegative source, so any clamp is a scheme
+    anomaly and is counted.
     """
-    _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
-    source, _ = _truncated_source(u, A_nu, n)
-    op = assemble(ScalarField(u.grid, a_n))
+    m._check_domain(k_lag.values)
+    source, _ = _truncated_source(u, frozen.A_nu, n)
+    op = assemble(ScalarField(u.grid, frozen.a_n))
     k, report = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol, x0=k_lag,
                           loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(k.values)
@@ -204,13 +224,13 @@ def solve_k_given_u(
 
 
 def kirchhoff_k_solve(
-    u: ScalarField, k_lag: ScalarField, A_nu: DiffusionOperator, m: ViscosityModel, n: int,
+    u: ScalarField, k_lag: ScalarField, frozen: FrozenCoefficients, m: ViscosityModel, n: int,
     inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
     """Alternative k-update through the flux transform.
 
     With K = A(k) the k-equation becomes constant-coefficient:
-    -Lap K = min(n, D(u, nu_n(k_lag))), the source read off
+    -Lap K = min(n, D(u, nu_n(k_lag))), the source read off the frozen
     A_nu = A(nu_n(k_lag)) as on the direct route, so the update evaluates
     no coefficient, only the transform and its inverse.  It solves that
     Poisson problem on the grid's shared A(1) from A(k_lag), like every
@@ -219,7 +239,7 @@ def kirchhoff_k_solve(
     constant a it reduces algebraically to the direct update.
     """
     g = u.grid
-    source, _ = _truncated_source(u, A_nu, n)
+    source, _ = _truncated_source(u, frozen.A_nu, n)
     K0 = ScalarField(g, kirchhoff_A(m, k_lag.values))
     K, report = solve_spd(unit_operator(g), ScalarField(g, source), tol=inner_tol, x0=K0,
                           loose_tol=loose_tol)
@@ -228,17 +248,17 @@ def kirchhoff_k_solve(
 
 
 def _chi_k_step(
-    f: ScalarField, u: ScalarField, k_lag: ScalarField, A_nu: DiffusionOperator,
+    f: ScalarField, u: ScalarField, k_lag: ScalarField, frozen: FrozenCoefficients,
     m: ViscosityModel, n: int, inner_tol: float = INNER_TOL, loose_tol: float = 0.0,
 ) -> KStep:
     """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - u^2/(2 gamma)).
 
-    The inner solve starts from k_lag + u^2/(2 gamma).  A_nu is taken, and
-    not read, so that the driver calls every k-update alike: the source
-    f u needs no operator.
+    a_n(k_lag) is read off ``frozen``; the source f u needs no operator.
+    The inner solve starts from k_lag + u^2/(2 gamma); a negative k_lag
+    fails m's domain check first, as on the direct route.
     """
-    _, a_n, _ = truncated_coefficients(m, k_lag.values, n)
-    op = assemble(ScalarField(u.grid, a_n))
+    m._check_domain(k_lag.values)
+    op = assemble(ScalarField(u.grid, frozen.a_n))
     half_u2 = 0.5 / m.gamma * u.values**2
     chi, report = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol,
                             x0=ScalarField(u.grid, k_lag.values + half_u2), loose_tol=loose_tol)
@@ -246,15 +266,15 @@ def _chi_k_step(
     return KStep(ScalarField(u.grid, k_vals), clamp_count, report, chi)
 
 
-def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
-    """The report of the pair (u, k), from A(nu_n(k)) and A(a_n(k)), each built once.
+def _final_report(n, u, k, frozen, iterations, converged, increment, clamp_count):
+    """The report of the pair (u, k), from the coefficients frozen at k.
 
-    The source and the energy come from A(nu_n), the k-residual and the
-    dissipation from A(a_n); each energy is read off its operator.
+    The source and the energy come from its A(nu_n), the k-residual and the
+    dissipation from A(a_n), built here once; each energy is read off its
+    operator.
     """
-    nu_n, a_n, coeff_clip = truncated_coefficients(m, k.values, n)
-    A_nu, A_a = assemble(ScalarField(u.grid, nu_n)), assemble(ScalarField(u.grid, a_n))
-    source, src_clip = _truncated_source(u, A_nu, n)
+    A_a = assemble(ScalarField(u.grid, frozen.a_n))
+    source, src_clip = _truncated_source(u, frozen.A_nu, n)
     scale = max(float(np.linalg.norm(source)), 1e-300)
     k_residual = float(np.linalg.norm(A_a.apply(k.values) - source)) / scale
     return SolveReport(
@@ -262,11 +282,11 @@ def _final_report(m, n, u, k, iterations, converged, increment, clamp_count):
         outer_iterations=iterations,
         converged=converged,
         final_increment=increment,
-        energy=A_nu.energy(u),
+        energy=frozen.A_nu.energy(u),
         dissipation=A_a.energy(k),
         linf_u=linf_norm(u),
         linf_k=linf_norm(k),
-        truncation_active=bool(coeff_clip or src_clip),
+        truncation_active=bool(frozen.clipped or src_clip),
         clamp_count=clamp_count,
         k_residual=k_residual,
     )
@@ -308,9 +328,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
-        u_new, u_solve, A_nu = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u,
-                                               loose_tol=loose_tol)
-        kstep = k_step(u_new, k, A_nu, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
+        u_new, u_solve, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u,
+                                                 loose_tol=loose_tol)
+        kstep = k_step(u_new, k, frozen, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
         clamp_total += kstep.clamp_count
         k_vals = (1.0 - omega) * k.values + omega * kstep.field.values
         k_new = ScalarField(k.grid, k_vals)
@@ -331,9 +351,12 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         loose_tol = FORCING * rho * rel if increment > cfg.tol else 0.0
         prev_increment = increment
 
+    # the final k's coefficients, evaluated once: the re-solve and the report share them
     if converged:
-        u, _, _ = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
-    report = _final_report(m, n, u, k, iterations, converged, increment, clamp_total)
+        u, _, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
+    else:
+        frozen = _freeze(m, k, n)
+    report = _final_report(n, u, k, frozen, iterations, converged, increment, clamp_total)
     return u, k, report, kstep
 
 

@@ -43,6 +43,18 @@ INNER_TOL = 1e-12
 FLOOR_BACKWARD_ERROR = 16 * float(np.finfo(float).eps)
 
 
+def _ldexp(x, n: int, out=None):
+    """x * 2^n in float64, bit for bit ``np.ldexp(x, n, out=out)``, in about a fifth of its time.
+
+    Where 2^n is a normal float, one multiply by it is exact, or correctly
+    rounded when the product is subnormal or overflows, as ldexp is; other
+    n fall back to ldexp itself.
+    """
+    if -1022 <= n <= 1023:
+        return np.multiply(x, math.ldexp(1.0, n), out=out)
+    return np.ldexp(x, n, out=out)
+
+
 @dataclass
 class LinearSolveReport:
     iterations: int
@@ -122,7 +134,8 @@ class PoissonInverse:
     The bases and eigenvalues are computed in float64 and stored in
     float32, with eig divided by 2^scale, the power of two at or above its
     largest entry.  Both this and the scaling of r by a power of two in
-    :meth:`apply` are exact, so eig lies in about [1/N^2, 1] and the
+    :meth:`apply` are exact (each one multiply by the float 2^-scale or
+    2^-e, see :func:`_ldexp`), so eig lies in about [1/N^2, 1] and the
     products stay in float32 range at any domain extents and residual
     scale.  The apply is then within a few float32 eps times N of the
     exact inverse, relatively; CG treats it as an inexact preconditioner
@@ -137,20 +150,23 @@ class PoissonInverse:
     def apply(self, r: np.ndarray, out: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """L^{-1} r into the float64 ``out``; float32 ``w1`` and ``w2`` are scratch, and none may alias r.
 
-        r is scaled by 2^-e, the power of two at or above max|r|, and
-        rounded once to float32; the result is scaled back in float64.  So
-        the float32 products run at the same scale for every r, and only
-        the float64 rescale meets the extremes of its range.
+        r is scaled by 2^-e, the power of two at or above max|r|, into the
+        float64 ``out`` and rounded once to float32 from there; the result
+        is scaled back in float64.  So the float32 products run at the same
+        scale for every r, and only the float64 rescale meets the extremes
+        of its range.  Both scalings run on float64 arrays (:func:`_ldexp`):
+        scaling straight into float32 would allocate numpy's cast buffer,
+        and a float32 array times 2^n stays float32 and can overflow.
         """
         e = math.frexp(max(float(r.max()), -float(r.min())))[1]
-        w1[...] = np.ldexp(r, -e, out=out)
+        w1[...] = _ldexp(r, -e, out=out)
         np.matmul(self.qx.T, w1, out=w2)
         np.matmul(w2, self.qy, out=w1)
         w1 /= self.eig
         np.matmul(self.qx, w1, out=w2)
         np.matmul(w2, self.qy.T, out=w1)
         out[...] = w1
-        return np.ldexp(out, e - self.scale, out=out)
+        return _ldexp(out, e - self.scale, out=out)
 
 
 @lru_cache(maxsize=8)
@@ -160,7 +176,7 @@ def poisson_inverse(grid: Grid) -> PoissonInverse:
     qy, lam_y = _dst2_basis(grid.ny, grid.hy)
     eig = lam_x[:, None] + lam_y[None, :]
     scale = math.frexp(float(eig.max()))[1]
-    qx, qy, eig = (a.astype(np.float32) for a in (qx, qy, np.ldexp(eig, -scale)))
+    qx, qy, eig = (a.astype(np.float32) for a in (qx, qy, _ldexp(eig, -scale)))
     for a in (qx, qy, eig):
         a.flags.writeable = False  # shared through the cache
     return PoissonInverse(qx, qy, eig, scale)
@@ -209,9 +225,12 @@ def solve_spd(
     below the certified tolerance, never what is certified.
 
     The solve is scale-free: b and x0 are divided by 2^e, the power of two
-    at or above max|b|, and x is multiplied back on return.  Both steps are
-    exact, so every iterate is that of the unit-scale load, and no norm
-    overflows or underflows at any load scale.
+    at or above max|b|, and x is multiplied back on return, each by one
+    multiply by the float 2^-e or 2^e where that is normal (see
+    :func:`_ldexp`).  Both steps are exact, so every iterate is that of the
+    unit-scale load, and no norm overflows or underflows at any load
+    scale; only an x below the normal range is rounded by the multiply
+    back, and the report then gives the residual of the unrounded iterate.
 
     Each recursion residual that meets the stop target is checked against
     the recomputed true residual; a failed check restarts CG from the true
@@ -243,11 +262,11 @@ def solve_spd(
     g = A.grid
     budget = 10 * g.nx * g.ny
 
-    bmax = float(np.max(np.abs(b.values)))
+    bmax = max(float(b.values.max()), -float(b.values.min()))
     if bmax == 0.0:
         return ScalarField.zeros(g), LinearSolveReport(0, 0.0)
     e = math.frexp(bmax)[1]  # 2^e is the power of two at or above max|b|
-    rhs = np.ldexp(b.values, -e)
+    rhs = _ldexp(b.values, -e)
     bnorm = float(np.linalg.norm(rhs))
 
     def relative(v, iterations):
@@ -262,11 +281,11 @@ def solve_spd(
     M = poisson_inverse(g)
     p, z, Ap, tmp = (np.empty(g.shape) for _ in range(4))
     w1, w2 = (np.empty(g.shape, np.float32) for _ in range(2))  # the preconditioner's scratch
-    x = np.zeros(g.shape) if x0 is None else np.ldexp(x0.values, -e)
+    x = np.zeros(g.shape) if x0 is None else _ldexp(x0.values, -e)
     r = np.subtract(rhs, A.apply(x, out=tmp))
     res = relative(r, 0)
     if res <= tol:
-        return ScalarField(g, np.ldexp(x, e)), LinearSolveReport(0, res)
+        return ScalarField(g, _ldexp(x, e)), LinearSolveReport(0, res)
     restart = True  # the next direction is the preconditioned residual itself
     failed = math.inf  # true relative residual at the last failed check
 
@@ -297,14 +316,14 @@ def solve_spd(
             np.subtract(rhs, A.apply(x, out=tmp), out=tmp)
             res_true = relative(tmp, iterations)
             if res_true <= stop:
-                return ScalarField(g, np.ldexp(x, e)), LinearSolveReport(iterations, res_true)
+                return ScalarField(g, _ldexp(x, e)), LinearSolveReport(iterations, res_true)
             if res_true > 0.5 * failed:  # no halving since the last failed check: a stall
                 backward = float(np.max(np.abs(tmp))) / (
                     A.norm_inf() * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
                 report = LinearSolveReport(iterations, res_true, backward <= FLOOR_BACKWARD_ERROR,
                                            backward)
                 if report.at_floor:
-                    return ScalarField(g, np.ldexp(x, e)), report
+                    return ScalarField(g, _ldexp(x, e)), report
                 raise LinearSolveError(
                     f"conjugate gradients stalled at relative residual {res_true:g} above {stop:g}, "
                     f"with backward error {backward:g} above the rounding floor", report)

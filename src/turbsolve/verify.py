@@ -35,7 +35,7 @@ from . import _kernels
 from .coeffs import ViscosityModel, truncated_coefficients
 from .fixedpoint import PicardConfig, picard_solve
 from .grid import Grid, ScalarField, integrate, linf_norm, make_grid
-from .linsolve import DiffusionOperator, assemble
+from .linsolve import DiffusionOperator, _ldexp, assemble
 
 ABS_FLOOR = 1e-14
 _FLUX_EXPONENT = 1.4  # the p < 3/2 at which full_report measures the flux bound
@@ -89,10 +89,10 @@ def _energy_identity(u: ScalarField, f: ScalarField, A_nu: DiffusionOperator) ->
     one bit for bit.
     """
     e_u, e_f = (math.frexp(linf_norm(v))[1] for v in (u, f))
-    scaled = ScalarField(u.grid, np.ldexp(u.values, -e_u))
+    scaled = ScalarField(u.grid, _ldexp(u.values, -e_u))
     with np.errstate(over="ignore"):  # an E too large to pair with the load reads inf
-        E = float(np.ldexp(A_nu.energy(scaled), e_u - e_f))
-    load = integrate(ScalarField(u.grid, np.ldexp(f.values, -e_f) * scaled.values))
+        E = float(_ldexp(A_nu.energy(scaled), e_u - e_f))
+    load = integrate(ScalarField(u.grid, _ldexp(f.values, -e_f) * scaled.values))
     return abs(E - load) / max(abs(load), ABS_FLOOR)
 
 
@@ -283,7 +283,14 @@ def full_report(
     n: int,
     r: float = 2.0,
 ) -> InvariantReport:
-    """Populate every certified estimate for one converged pair, for a load in L^r."""
+    """Populate every certified estimate for one converged pair, for a load in L^r.
+
+    u, k and f must share one grid; a mismatch raises before any estimate runs.
+    """
+    if not u.grid == k.grid == f.grid:
+        raise ValueError("u, k and f live on different grids: " + ", ".join(
+            f"{name} on {g.nx}x{g.ny} cells of {g.lx:g}x{g.ly:g}"
+            for name, g in (("u", u.grid), ("k", k.grid), ("f", f.grid))))
     nu_n, a_n = (ScalarField(k.grid, c) for c in truncated_coefficients(m, k.values, n)[:2])
     A_nu, A_a = assemble(nu_n), assemble(a_n)
     linf_u = linf_norm(u)

@@ -123,24 +123,24 @@ class TestUSolve:
 class TestKSolve:
     def test_zero_velocity(self):
         g = make_grid(8, 8, 1.0, 1.0)
-        A_nu = assemble(ScalarField.full(g, 1.0))  # A(nu_n(0)) of HP_UNIT
-        step = solve_k_given_u(ScalarField.zeros(g), ScalarField.zeros(g), A_nu, HP_UNIT, 4)
+        frozen = fixedpoint._freeze(HP_UNIT, ScalarField.zeros(g), 4)
+        step = solve_k_given_u(ScalarField.zeros(g), ScalarField.zeros(g), frozen, HP_UNIT, 4)
         assert not step.field.values.any()
         assert step.clamp_count == 0
 
     def test_decoupled_oracle(self):
         g = make_grid(33, 33, 1.0, 1.0)
-        u, _, A_nu = solve_u_given_k(ScalarField.zeros(g), CONSTANT, 64,
-                                     manufactured_forcing(g, 1.0), inner_tol=1e-13)
-        step = solve_k_given_u(u, ScalarField.zeros(g), A_nu, CONSTANT, 64, inner_tol=1e-13)
+        u, _, frozen = solve_u_given_k(ScalarField.zeros(g), CONSTANT, 64,
+                                       manufactured_forcing(g, 1.0), inner_tol=1e-13)
+        step = solve_k_given_u(u, ScalarField.zeros(g), frozen, CONSTANT, 64, inner_tol=1e-13)
         source = dissipation_source(u, assemble(ScalarField.full(g, 1.0)))
         oracle = spla.spsolve(kron_poisson(g), source.values.ravel()).reshape(g.shape)
         assert np.max(np.abs(step.field.values - oracle)) <= 1e-12
 
     def test_nonnegative_without_clamping(self):
         g = make_grid(21, 21, 1.0, 1.0)
-        u, _, A_nu = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 16, gaussian_source(g))
-        step = solve_k_given_u(u, ScalarField.zeros(g), A_nu, HP_UNIT, 16)
+        u, _, frozen = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 16, gaussian_source(g))
+        step = solve_k_given_u(u, ScalarField.zeros(g), frozen, HP_UNIT, 16)
         assert step.clamp_count == 0
         assert step.field.values.min() >= 0.0
 
@@ -207,37 +207,41 @@ class TestPicard:
 
 class TestNegativeK:
     # the model's domain check is the only k >= 0 check on every route; the
-    # Kirchhoff k-update reaches it through kirchhoff_A(k_lag)
+    # direct and chi k-updates, which take their coefficients frozen, run it
+    # on k_lag, and the Kirchhoff k-update reaches it through kirchhoff_A(k_lag)
     @pytest.mark.parametrize("call", [
-        lambda u, k, f, A_nu: solve_k_given_u(u, k, A_nu, HP_UNIT, 4),
-        lambda u, k, f, A_nu: kirchhoff_k_solve(u, k, A_nu, HP_UNIT, 4),
-        lambda u, k, f, A_nu: picard_solve(HP_UNIT, 4, f, PicardConfig(), k0=k),
-        lambda u, k, f, A_nu: chi_decoupled_solve(HP_UNIT, 4, f, PicardConfig(), k0=k),
-    ], ids=["solve_k_given_u", "kirchhoff_k_solve", "picard_solve", "chi_decoupled_solve"])
+        lambda u, k, f, frozen: solve_k_given_u(u, k, frozen, HP_UNIT, 4),
+        lambda u, k, f, frozen: kirchhoff_k_solve(u, k, frozen, HP_UNIT, 4),
+        lambda u, k, f, frozen: fixedpoint._chi_k_step(f, u, k, frozen, CONSTANT, 4),
+        lambda u, k, f, frozen: picard_solve(HP_UNIT, 4, f, PicardConfig(), k0=k),
+        lambda u, k, f, frozen: chi_decoupled_solve(HP_UNIT, 4, f, PicardConfig(), k0=k),
+    ], ids=["solve_k_given_u", "kirchhoff_k_solve", "_chi_k_step", "picard_solve",
+            "chi_decoupled_solve"])
     def test_raises_before_any_solve(self, monkeypatch, call):
         g = make_grid(8, 8, 1.0, 1.0)
         f = gaussian_source(g)
-        u, _, A_nu = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 4, f)
+        u, _, frozen = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 4, f)
         k = ScalarField.full(g, 0.5)
         k.values[3, 4] = -1e-3
         solves = count_calls(monkeypatch, fixedpoint.solve_spd)
         with pytest.raises(ValueError, match="s >= 0"):
-            call(u, k, f, A_nu)
+            call(u, k, f, frozen)
         assert not solves
 
 
 class TestBadLevel:
     # truncated_coefficients is the one level check on every path that takes a level,
-    # but for the Kirchhoff k-update, which evaluates no coefficient: its source checks n
+    # but for the direct and Kirchhoff k-updates, which take their coefficients
+    # frozen: their source checks n
     @pytest.mark.parametrize("call", [
-        lambda u, k, f, A_nu, n: solve_u_given_k(k, HP_UNIT, n, f),
-        lambda u, k, f, A_nu, n: solve_k_given_u(u, k, A_nu, HP_UNIT, n),
-        lambda u, k, f, A_nu, n: kirchhoff_k_solve(u, k, A_nu, HP_UNIT, n),
-        lambda u, k, f, A_nu, n: picard_solve(HP_UNIT, n, f, PicardConfig()),
-        lambda u, k, f, A_nu, n: chi_decoupled_solve(HP_UNIT, n, f, PicardConfig()),
-        lambda u, k, f, A_nu, n: n_sweep(HP_UNIT, f, [n], PicardConfig()),
-        lambda u, k, f, A_nu, n: energy_identity_residual(u, k, f, HP_UNIT, n),
-        lambda u, k, f, A_nu, n: full_report(u, k, f, HP_UNIT, n),
+        lambda u, k, f, frozen, n: solve_u_given_k(k, HP_UNIT, n, f),
+        lambda u, k, f, frozen, n: solve_k_given_u(u, k, frozen, HP_UNIT, n),
+        lambda u, k, f, frozen, n: kirchhoff_k_solve(u, k, frozen, HP_UNIT, n),
+        lambda u, k, f, frozen, n: picard_solve(HP_UNIT, n, f, PicardConfig()),
+        lambda u, k, f, frozen, n: chi_decoupled_solve(HP_UNIT, n, f, PicardConfig()),
+        lambda u, k, f, frozen, n: n_sweep(HP_UNIT, f, [n], PicardConfig()),
+        lambda u, k, f, frozen, n: energy_identity_residual(u, k, f, HP_UNIT, n),
+        lambda u, k, f, frozen, n: full_report(u, k, f, HP_UNIT, n),
     ], ids=["solve_u_given_k", "solve_k_given_u", "kirchhoff_k_solve", "picard_solve",
             "chi_decoupled_solve", "n_sweep", "energy_identity_residual", "full_report"])
     # 10**400 is an integer whose float overflows
@@ -246,11 +250,11 @@ class TestBadLevel:
     def test_raises_before_any_solve(self, monkeypatch, call, n):
         g = make_grid(8, 8, 1.0, 1.0)
         f = gaussian_source(g)
-        u, _, A_nu = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 4, f)
+        u, _, frozen = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 4, f)
         k = ScalarField.full(g, 0.5)
         solves = count_calls(monkeypatch, fixedpoint.solve_spd)
         with pytest.raises(ValueError, match=r"^truncation level must be a positive integer, got "):
-            call(u, k, f, A_nu, n)
+            call(u, k, f, frozen, n)
         assert not solves
 
 
@@ -373,8 +377,8 @@ class TestChiRoute:
 class TestKirchhoffRoute:
     def test_zero_velocity(self):
         g = make_grid(8, 8, 1.0, 1.0)
-        A_nu = assemble(ScalarField.full(g, 1.0))  # A(nu_n(0)) of HP_UNIT
-        step = kirchhoff_k_solve(ScalarField.zeros(g), ScalarField.zeros(g), A_nu, HP_UNIT, 4)
+        frozen = fixedpoint._freeze(HP_UNIT, ScalarField.zeros(g), 4)
+        step = kirchhoff_k_solve(ScalarField.zeros(g), ScalarField.zeros(g), frozen, HP_UNIT, 4)
         assert not step.field.values.any()
 
     def test_constant_coefficient_reduction(self):
@@ -382,10 +386,10 @@ class TestKirchhoffRoute:
         # same system and must agree to solver accuracy
         model = ViscosityModel(kind="constant", nu1=1.0, a1=3.0, delta=1.0)
         g = make_grid(17, 17, 1.0, 1.0)
-        u, _, A_nu = solve_u_given_k(ScalarField.zeros(g), model, 64, manufactured_forcing(g, 1.0),
-                                     inner_tol=1e-14)
-        direct = solve_k_given_u(u, ScalarField.zeros(g), A_nu, model, 64, inner_tol=1e-14)
-        transformed = kirchhoff_k_solve(u, ScalarField.zeros(g), A_nu, model, 64, inner_tol=1e-14)
+        u, _, frozen = solve_u_given_k(ScalarField.zeros(g), model, 64,
+                                       manufactured_forcing(g, 1.0), inner_tol=1e-14)
+        direct = solve_k_given_u(u, ScalarField.zeros(g), frozen, model, 64, inner_tol=1e-14)
+        transformed = kirchhoff_k_solve(u, ScalarField.zeros(g), frozen, model, 64, inner_tol=1e-14)
         assert np.max(np.abs(direct.field.values - transformed.field.values)) <= 1e-12
 
     def test_matches_direct_route(self):
@@ -403,9 +407,9 @@ class TestKirchhoffRoute:
         g = make_grid(17, 17, 1.0, 1.0)
         u, _, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
         k_lag = ScalarField.full(g, 0.5)
-        A_nu = assemble(ScalarField(g, HP_UNIT.nu(k_lag.values)))
+        frozen = fixedpoint._freeze(HP_UNIT, k_lag, 8)
         calls = count_calls(monkeypatch, coeffs.kirchhoff_A_inv)
-        kirchhoff_k_solve(u, k_lag, A_nu, HP_UNIT, 8)
+        kirchhoff_k_solve(u, k_lag, frozen, HP_UNIT, 8)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("loose_tol", [0.0, 1e-3])
@@ -418,8 +422,8 @@ class TestKirchhoffRoute:
         g = make_grid(33, 33, 1.0, 1.0)
         u, _, _ = solve_u_given_k(ScalarField.zeros(g), HP_UNIT, 8, gaussian_source(g, 20.0))
         k_lag = ScalarField.full(g, 0.5)
-        A_nu = assemble(ScalarField(g, HP_UNIT.nu(k_lag.values)))
-        tight = kirchhoff_k_solve(u, k_lag, A_nu, HP_UNIT, 8)
+        frozen = fixedpoint._freeze(HP_UNIT, k_lag, 8)
+        tight = kirchhoff_k_solve(u, k_lag, frozen, HP_UNIT, 8)
         forward = count_calls(monkeypatch, coeffs.kirchhoff_A)
         inverse = count_calls(monkeypatch, coeffs.kirchhoff_A_inv)
         coeff_calls = []
@@ -427,7 +431,7 @@ class TestKirchhoffRoute:
             fn = getattr(ViscosityModel, name)
             monkeypatch.setattr(ViscosityModel, name,
                                 lambda m, s, fn=fn: coeff_calls.append(1) or fn(m, s))
-        step = kirchhoff_k_solve(u, k_lag, A_nu, HP_UNIT, 8, loose_tol=loose_tol)
+        step = kirchhoff_k_solve(u, k_lag, frozen, HP_UNIT, 8, loose_tol=loose_tol)
         assert len(forward) == 1 and len(inverse) == 1 and len(coeff_calls) == 0
         if loose_tol == 0.0:
             assert step.report.iterations <= 3 and step.report.relative_residual <= INNER_TOL
@@ -488,6 +492,25 @@ class TestOneOperatorPerIterate:
             counts.append(len(builds))
         per_iteration = 1 if route == "kirchhoff" else 2
         assert counts == [per_iteration * j + 2 for j in (1, 2, 3)]
+
+    def test_one_coefficient_evaluation_per_outer_iteration(self, monkeypatch, route):
+        # the u-solve's evaluation at k_lag is the k-step's too, and one at the
+        # final k serves the converged re-solve and the final report: j + 1
+        # per level of j outer iterations, converged or not
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0)
+        evaluations = []
+        nu = ViscosityModel.nu
+        monkeypatch.setattr(ViscosityModel, "nu", lambda m, s: evaluations.append(1) or nu(m, s))
+        for cfg in (PicardConfig(tol=1e-14, max_outer=j) for j in (1, 2, 3)):
+            evaluations.clear()
+            _, _, report = solve_level(route, HP_UNIT, 8, f, cfg)
+            assert not report.converged
+            assert len(evaluations) == report.outer_iterations + 1
+        evaluations.clear()
+        _, _, report = solve_level(route, HP_UNIT, 8, f, PicardConfig())
+        assert report.converged and report.outer_iterations > 3
+        assert len(evaluations) == report.outer_iterations + 1
 
     def test_report_energies_are_the_weighted_energies(self, route):
         # read off the final report's operators, they equal grid.weighted_energy bit for bit

@@ -469,6 +469,21 @@ class TestFullReport:
         assert report.chi_linf == 0.0
         assert math.isnan(report.holder_alpha_u)
 
+    @pytest.mark.parametrize("odd", ["u", "k", "f"])
+    def test_fields_on_different_grids_rejected(self, monkeypatch, odd):
+        # the same number of cells, so the flat arrays alone would not tell;
+        # chi_bound_check, the first estimate on a proportional pair, failed
+        # with numpy's broadcast error on u and k of different shapes
+        fields = {name: ScalarField.full(make_grid(8, 9, 1.0, 1.0), 1.0) for name in "ukf"}
+        fields[odd] = ScalarField.full(make_grid(9, 8, 1.0, 1.0), 1.0)
+        evaluations = []
+        nu = ViscosityModel.nu
+        monkeypatch.setattr(ViscosityModel, "nu", lambda m, s: evaluations.append(1) or nu(m, s))
+        with pytest.raises(ValueError, match=rf"^u, k and f live on different grids: .*\b{odd} "
+                                             r"on 9x8 cells of 1x1"):
+            full_report(fields["u"], fields["k"], fields["f"], HP_UNIT, 4)
+        assert not evaluations
+
     def test_chi_field_only_for_proportional_pairs(self, manufactured_run):
         g, f, u, k = manufactured_run
         report = full_report(u, k, f, CONSTANT, 64)
