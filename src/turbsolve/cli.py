@@ -14,6 +14,7 @@ reproduce byte-identical files at a fixed BLAS thread count.
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -200,48 +201,85 @@ def config_echo(cfg: RunConfig) -> dict:
 #
 # A dump is a 3-line header (nx, ny, "lx ly") and ny rows of nx tokens.  Each
 # token is the exact hexadecimal form of one float64 (C99 "%a"), 24 bytes
-# wide and followed by a space, or by a newline at the end of its row.  Tokens
-# are built from the values' bytes, and read back into them, by table lookups
-# over whole arrays; a 2-character table entry is the little-endian uint16
-# of its two characters.
+# wide and followed by a space, or by a newline at the end of its row.
+#
+# The writer gathers each token as three little-endian 64-bit words from
+# tables indexed by bit fields of the value, straight into the body:
+#   chars 0-7    "+0x1.h" and 2 digits     by sign, lead digit, mantissa bits 40-51
+#   chars 8-15   8 digits, as two halves   by mantissa bits 24-39, then 8-23
+#   chars 16-23  2 digits and "p+dddd"     by mantissa bits 0-7, and biased exponent
+# The reader looks up character pairs (a pair is the little-endian uint16 of
+# its two characters) and checks what it read by encoding it again.
 
 _TOKEN = 24  # bytes per token, its separator aside
 _TOKEN_FORM = "[+-]0x[01].<13 lowercase hex digits>p[+-]<4 decimal digits>"
 
 
-def _pairs(texts: list) -> np.ndarray:
-    """Each text as a row of uint16 character pairs."""
-    return np.frombuffer("".join(texts).encode(), "<u2").reshape(len(texts), -1)
+def _word(*chars):
+    """The words whose bytes, lowest first, are the character codes ``chars`` (arrays broadcast)."""
+    return sum(c << 8 * i for i, c in enumerate(chars))
 
 
 _HEX = "0123456789abcdef"
-# characters 0-5, by sign, lead digit and first mantissa digit
-_HEAD = _pairs([f"{s}0x{lead}.{h}" for s in "+-" for lead in "01" for h in _HEX])
-# characters 6-17, two per mantissa byte
-_BYTE = _pairs([f"{b:02x}" for b in range(256)])[:, 0]
-# characters 18-23, by biased exponent; 0 is a subnormal and 2047, never finite, a zero
-_TAIL = _pairs(["p-1022"] + [f"p{b - 1023:+05d}" for b in range(1, 2047)] + ["p+0000"])
-# the inverse lookups; text that no token holds reads as 0, and the re-encoding check rejects it
+_DIGIT = np.frombuffer(_HEX.encode(), np.uint8).astype(np.int64)  # the code of each hex digit
+_i = np.arange(1 << 12)
+_PAIR = _word(_DIGIT[_i[:256] >> 4], _DIGIT[_i[:256] & 15])  # by byte: its 2 digits
+_QUAD = _PAIR.astype(np.int32)
+_QUAD = np.bitwise_or.outer(_QUAD, _QUAD << 16).ravel()  # by 16 bits: their 4 digits
+# by sign << 11 | biased exponent: sign << 13 | lead digit << 12, the top of a word-0 index
+_LEAD = _i >> 11 << 13 | np.where(_i & 0x7FF, 1 << 12, 0)
+_i = _i[:64]  # sign << 5 | lead digit << 4 | first digit
+_WORD0 = np.bitwise_or.outer(
+    _word(np.where(_i >> 5, ord("-"), ord("+")), ord("0"), ord("x"), ord("0") + (_i >> 4 & 1), ord("."),
+          _DIGIT[_i & 15]),
+    _PAIR << 48).ravel()
+_i = np.arange(100)
+_DECIMAL = _word(ord("0") + _i // 10, ord("0") + _i % 10)  # by 0-99: its 2 digits
+# by biased exponent, in the top 6 bytes: 0 is a subnormal's p-1022, and
+# 2047, never finite, a zero's p+0000
+_e = np.maximum(np.arange(2048) - 1023, -1022)
+_e[-1] = 0
+_EXP = (_word(0, 0, ord("p"), np.where(_e < 0, ord("-"), ord("+")))
+        | _DECIMAL[abs(_e) // 100] << 32 | _DECIMAL[abs(_e) % 100] << 48)
+# the reader's inverse lookups; text that no token holds reads as 0, and
+# the re-encoding check rejects it
 _UNBYTE = np.zeros(1 << 16, np.uint8)
-_UNBYTE[_BYTE] = np.arange(256)
+_UNBYTE[_PAIR] = np.arange(256)
 _UNDIGITS = np.zeros(1 << 16, np.int16)
-_UNDIGITS[_pairs([f"{d:02d}" for d in range(100)])[:, 0]] = np.arange(100)
+_UNDIGITS[_DECIMAL] = _i
 _UNHEX = np.zeros(256, np.uint8)
-_UNHEX[np.frombuffer(_HEX.encode(), np.uint8)] = np.arange(16)
+_UNHEX[_DIGIT] = np.arange(16)
+del _i, _e
 
 
 def _tokens(rows: np.ndarray) -> np.ndarray:
     """The dump body of ``rows`` as (ny, nx, 25) bytes: each value's token and separator."""
     ny, nx = rows.shape
-    b = np.ascontiguousarray(rows, dtype="<f8").view(np.uint8).reshape(ny, nx, 8)
-    biased = (b[..., 7] & 0x7F).astype(np.uint16) << 4 | b[..., 6] >> 4
-    pairs = np.empty((ny, nx, _TOKEN // 2), "<u2")
-    pairs[..., :3] = _HEAD[(b[..., 7] >> 7 << 5) | (biased != 0) << 4 | (b[..., 6] & 15)]
-    pairs[..., 3:9] = _BYTE[b[..., 5::-1]]  # mantissa bytes, most significant first
-    biased[rows == 0] = 2047
-    pairs[..., 9:] = _TAIL[biased]
+    values = np.asarray(rows, dtype="<f8")  # no copy: a transposed view is read in place
+    bits = values.view("<i8")
     tokens = np.empty((ny, nx, _TOKEN + 1), np.uint8)
-    tokens[..., :_TOKEN] = pairs.view(np.uint8)
+    # views of the body: the three words, and the halves of the middle one (unaligned)
+    strides = (nx * (_TOKEN + 1), _TOKEN + 1)
+    words = np.ndarray((ny, nx, 3), "<i8", tokens, 0, strides + (8,))
+    halves = np.ndarray((ny, nx, 2), "<i4", tokens, 8, strides + (4,))
+    # int64 indices: np.take casts any other index type into a fresh array first
+    index, word = np.empty((2, ny, nx), np.int64)
+    half = np.empty((ny, nx), np.int32)
+
+    def field(shift, mask):
+        """``index`` set to bits ``shift`` and up of each value, masked by ``mask``."""
+        np.right_shift(bits, shift, out=index)
+        return np.bitwise_and(index, mask, out=index)
+
+    lead = np.take(_LEAD, field(52, 0xFFF), out=word, mode="wrap")
+    field(40, 0xFFF)
+    index |= lead
+    words[..., 0] = np.take(_WORD0, index, out=word, mode="wrap")
+    halves[..., 0] = np.take(_QUAD, field(24, 0xFFFF), out=half, mode="wrap")
+    halves[..., 1] = np.take(_QUAD, field(8, 0xFFFF), out=half, mode="wrap")
+    field(52, 0x7FF)[values == 0] = 2047  # the biased exponent; a zero of either sign writes p+0000
+    words[..., 2] = np.take(_EXP, index, out=word, mode="wrap")
+    words[..., 2] |= np.take(_PAIR, field(0, 0xFF), out=word, mode="wrap")
     tokens[..., _TOKEN] = ord(" ")
     tokens[:, -1, _TOKEN] = ord("\n")
     return tokens
@@ -507,8 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser as it was, so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
     except (HypothesisViolation, ValueError, KeyError, configparser.Error) as exc:

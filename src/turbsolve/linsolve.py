@@ -229,8 +229,11 @@ def solve_spd(
     multiply by the float 2^-e or 2^e where that is normal (see
     :func:`_ldexp`).  Both steps are exact, so every iterate is that of the
     unit-scale load, and no norm overflows or underflows at any load
-    scale; only an x below the normal range is rounded by the multiply
-    back, and the report then gives the residual of the unrounded iterate.
+    scale.  Only the multiply back can round, where it lands an entry of x
+    below the normal range.  Where max|x| 2^e lies within 53 binades of that
+    range, the residual of the x returned is therefore measured again: x is
+    returned if it meets the stop target or passes the floor rule below,
+    and otherwise LinearSolveError names the underflow.
 
     Each recursion residual that meets the stop target is checked against
     the recomputed true residual; a failed check restarts CG from the true
@@ -281,11 +284,43 @@ def solve_spd(
     M = poisson_inverse(g)
     p, z, Ap, tmp = (np.empty(g.shape) for _ in range(4))
     w1, w2 = (np.empty(g.shape, np.float32) for _ in range(2))  # the preconditioner's scratch
+
+    def floor_error(r, x):
+        """The normwise backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf), at unit scale."""
+        return float(np.max(np.abs(r))) / (
+            A.norm_inf() * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+
+    def scaled_back(x, report, target):
+        """x at the load's scale, and the report on the x returned.
+
+        The multiply by 2^e rounds only entries it lands below the normal
+        range, each by at most 2^-1075.  Where max|x| 2^e is 2^-969 or more,
+        that is at most 2^-106 max|x| 2^e, below the rounding of x itself,
+        so the report stands; below, the rounded x's residual is measured.
+        """
+        out = _ldexp(x, e)
+        xmax = max(float(x.max()), -float(x.min()))
+        if xmax == 0.0 or math.frexp(xmax)[1] + e > -1022 + 53:
+            return ScalarField(g, out), report
+        rounded = _ldexp(out, -e)  # the x returned, back at unit scale exactly
+        r = np.subtract(rhs, A.apply(rounded, out=tmp), out=tmp)
+        res = relative(r, report.iterations)
+        if res <= target:
+            return ScalarField(g, out), LinearSolveReport(report.iterations, res)
+        backward = floor_error(r, rounded)
+        checked = LinearSolveReport(report.iterations, res, backward <= FLOOR_BACKWARD_ERROR, backward)
+        if checked.at_floor:
+            return ScalarField(g, out), checked
+        raise LinearSolveError(
+            f"the solution underflows: at the load's scale x lies below the normal float range, "
+            f"where its rounding leaves relative residual {res:g} above {target:g}, with backward "
+            f"error {backward:g} above the rounding floor", checked)
+
     x = np.zeros(g.shape) if x0 is None else _ldexp(x0.values, -e)
     r = np.subtract(rhs, A.apply(x, out=tmp))
     res = relative(r, 0)
     if res <= tol:
-        return ScalarField(g, _ldexp(x, e)), LinearSolveReport(0, res)
+        return scaled_back(x, LinearSolveReport(0, res), tol)
     restart = True  # the next direction is the preconditioned residual itself
     failed = math.inf  # true relative residual at the last failed check
 
@@ -316,14 +351,13 @@ def solve_spd(
             np.subtract(rhs, A.apply(x, out=tmp), out=tmp)
             res_true = relative(tmp, iterations)
             if res_true <= stop:
-                return ScalarField(g, _ldexp(x, e)), LinearSolveReport(iterations, res_true)
+                return scaled_back(x, LinearSolveReport(iterations, res_true), stop)
             if res_true > 0.5 * failed:  # no halving since the last failed check: a stall
-                backward = float(np.max(np.abs(tmp))) / (
-                    A.norm_inf() * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+                backward = floor_error(tmp, x)
                 report = LinearSolveReport(iterations, res_true, backward <= FLOOR_BACKWARD_ERROR,
                                            backward)
                 if report.at_floor:
-                    return ScalarField(g, _ldexp(x, e)), report
+                    return scaled_back(x, report, stop)
                 raise LinearSolveError(
                     f"conjugate gradients stalled at relative residual {res_true:g} above {stop:g}, "
                     f"with backward error {backward:g} above the rounding floor", report)

@@ -111,10 +111,10 @@ def test_field_dump_roundtrip(tmp_path):
     assert header[0] == "5" and header[1] == "3"
 
 
-def finite_edge_values(g) -> np.ndarray:
-    """Random finite float64 bit patterns on ``g``, the edge cases of the token layout first."""
+def finite_edge_values(shape) -> np.ndarray:
+    """Random finite float64 bit patterns of ``shape``, the edge cases of the token layout first."""
     rng = np.random.default_rng(7)
-    bits = rng.integers(0, np.iinfo(np.uint64).max, size=g.shape, dtype=np.uint64, endpoint=True)
+    bits = rng.integers(0, np.iinfo(np.uint64).max, size=shape, dtype=np.uint64, endpoint=True)
     values = bits.view(np.float64)
     values[~np.isfinite(values)] = 1.0
     tiny = np.finfo(np.float64).tiny  # the smallest normal
@@ -124,10 +124,40 @@ def finite_edge_values(g) -> np.ndarray:
     return values
 
 
+def _pairs(texts: list) -> np.ndarray:
+    """Each text as a row of uint16 character pairs."""
+    return np.frombuffer("".join(texts).encode(), "<u2").reshape(len(texts), -1)
+
+
+# a token, 2 characters at a time: characters 0-5 by sign, lead digit and
+# first mantissa digit; 6-17 by mantissa byte; 18-23 by biased exponent,
+# where 0 is a subnormal's and 2047, never finite, a zero's
+_HEAD = _pairs([f"{s}0x{lead}.{h}" for s in "+-" for lead in "01" for h in "0123456789abcdef"])
+_BYTE = _pairs([f"{b:02x}" for b in range(256)])[:, 0]
+_TAIL = _pairs(["p-1022"] + [f"p{b - 1023:+05d}" for b in range(1, 2047)] + ["p+0000"])
+
+
+def reference_tokens(rows: np.ndarray) -> np.ndarray:
+    """The dump body of ``rows`` built by 2-character lookups, a check on ``cli._tokens``."""
+    ny, nx = rows.shape
+    b = np.ascontiguousarray(rows, dtype="<f8").view(np.uint8).reshape(ny, nx, 8)
+    biased = (b[..., 7] & 0x7F).astype(np.uint16) << 4 | b[..., 6] >> 4
+    pairs = np.empty((ny, nx, 12), "<u2")
+    pairs[..., :3] = _HEAD[(b[..., 7] >> 7 << 5) | (biased != 0) << 4 | (b[..., 6] & 15)]
+    pairs[..., 3:9] = _BYTE[b[..., 5::-1]]  # mantissa bytes, most significant first
+    biased[rows == 0] = 2047
+    pairs[..., 9:] = _TAIL[biased]
+    tokens = np.empty((ny, nx, 25), np.uint8)
+    tokens[..., :24] = pairs.view(np.uint8)
+    tokens[..., 24] = ord(" ")
+    tokens[:, -1, 24] = ord("\n")
+    return tokens
+
+
 class TestDumpTokens:
     def test_tokens_are_exact(self, tmp_path):
         g = make_grid(13, 11, 1.25, 0.75)
-        values = finite_edge_values(g)
+        values = finite_edge_values(g.shape)
         path = tmp_path / "field.txt"
         write_field(path, ScalarField(g, values))
         assert np.array_equal(read_field(path).values.view(np.uint64), values.view(np.uint64))
@@ -146,11 +176,25 @@ class TestDumpTokens:
 
     def test_numpy_reads_a_dump(self, tmp_path):
         g = make_grid(13, 11, 1.25, 0.75)
-        values = finite_edge_values(g)
+        values = finite_edge_values(g.shape)
         path = tmp_path / "field.txt"
         write_field(path, ScalarField(g, values))
         back = np.loadtxt(path, skiprows=3, converters=float.fromhex).T
         assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(13, 11), (129, 65), (1, 1), (1, 7), (7, 1)], ids=str)
+    def test_tokens_match_the_reference_encoder(self, shape):
+        values = finite_edge_values(shape)  # (nx, ny), written as its transpose
+        for rows in (values.T, np.ascontiguousarray(values.T), values[::-1, ::2].T):
+            assert cli._tokens(rows).tobytes() == reference_tokens(rows).tobytes()
+
+    def test_every_exponent_matches_the_reference_encoder(self):
+        biased = np.arange(2047, dtype=np.uint64)[:, None, None] << np.uint64(52)
+        sign = np.array([0, 1], np.uint64)[None, :, None] << np.uint64(63)
+        mantissa = np.array([0, 1, 2**52 - 1], np.uint64)[None, None, :]
+        rows = (biased | sign | mantissa).reshape(2047, 6).view(np.float64)
+        for r in (rows, rows.T):
+            assert cli._tokens(r).tobytes() == reference_tokens(r).tobytes()
 
     @pytest.mark.parametrize("edit, row, value", [
         # as earlier versions wrote it: 17 significant decimal digits

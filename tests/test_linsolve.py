@@ -205,17 +205,12 @@ class TestSolve:
         dense = np.column_stack([A.apply(e.reshape(g.shape)).ravel() for e in np.eye(g.nx * g.ny)])
         assert A.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-14)
 
-    @pytest.mark.parametrize("amplitude", [
-        1e160, 1e300, 1.7e308, 1e-150, 1e-165, 1e-300,
-        pytest.param(1e-310, id="1e-310", marks=pytest.mark.xfail(strict=True, reason=(
-            "the solution (about 7e-312) is subnormal: the scale-back rounds it, and its"
-            " true residual (2e-11) is not the one the report certifies (8e-13)"))),
-    ], ids=repr)
+    @pytest.mark.parametrize("amplitude", [1e160, 1e300, 1.7e308, 1e-150, 1e-165, 1e-300], ids=repr)
     def test_any_load_scale_solves_as_the_unit_load(self, amplitude):
         # norms used to overflow above about 1e154 (NaN iterations to the
         # budget) and underflow below about 1e-154 (x = 0 reported as solved);
-        # at 1.7e308 and the subnormal 1e-310 the load's scale 2^-e lies
-        # outside the normal powers of two, where the scaling falls back to ldexp
+        # at 1.7e308 the load's scale 2^-e lies outside the normal powers of
+        # two, where the scaling falls back to ldexp
         g = make_grid(17, 17, 1.0, 1.0)
         A = assemble(ScalarField.full(g, 1.0))
         unit, unit_report = solve_spd(A, ScalarField.full(g, 1.0))
@@ -230,6 +225,30 @@ class TestSolve:
         r = np.ldexp(b.values, -e) - A.apply(np.ldexp(x.values, -e))
         true = np.linalg.norm(r) / np.linalg.norm(np.ldexp(b.values, -e))
         assert 0.0 < true <= INNER_TOL and report.relative_residual == true
+
+    # below about 1e-307 the solution (about 0.074 times the load) is
+    # subnormal, so the multiply back to the load's scale rounds it; the
+    # report must certify the rounded x, not the unrounded iterate
+    def test_a_rounded_subnormal_solution_is_certified_as_returned(self):
+        g = make_grid(17, 17, 1.0, 1.0)
+        A = assemble(ScalarField.full(g, 1.0))
+        b = ScalarField.full(g, 1e-308)
+        x, report = solve_spd(A, b)
+        assert np.max(np.abs(x.values)) < np.finfo(float).tiny
+        e = math.frexp(1e-308)[1]
+        r = np.ldexp(b.values, -e) - A.apply(np.ldexp(x.values, -e))
+        true = np.linalg.norm(r) / np.linalg.norm(np.ldexp(b.values, -e))
+        assert report.relative_residual == true <= INNER_TOL
+
+    def test_a_subnormal_solution_that_rounding_spoils_raises(self):
+        # at 1e-310 the rounded solution's residual is 2e-11, the unrounded iterate's 8e-13
+        g = make_grid(17, 17, 1.0, 1.0)
+        A = assemble(ScalarField.full(g, 1.0))
+        with pytest.raises(LinearSolveError, match="the solution underflows") as info:
+            solve_spd(A, ScalarField.full(g, 1e-310))
+        report = info.value.report
+        assert report.relative_residual > INNER_TOL and not report.at_floor
+        assert report.backward_error > FLOOR_BACKWARD_ERROR
 
     def test_non_finite_residual_raises_after_one_iteration(self):
         # wall weights near the float maximum on a wide domain: the first
