@@ -330,14 +330,15 @@ def _misfit(body: bytes, nx: int, ny: int) -> str:
             f"the dump holds {rows} rows, expected {ny} rows of {nx}")
 
 
-def _read_body(body: bytes, nx: int, ny: int) -> np.ndarray:
-    """The (ny, nx) values of a dump body; a body ``write_field`` would not write is a ValueError."""
+def _read_body(body, nx: int, ny: int) -> np.ndarray:
+    """The (ny, nx) values of a dump body (bytes or a memoryview of them); a body ``write_field``
+    would not write is a ValueError."""
     if len(body) != ny * nx * (_TOKEN + 1):
-        raise ValueError(_misfit(body, nx, ny))
+        raise ValueError(_misfit(bytes(body), nx, ny))
     tokens = np.frombuffer(body, np.uint8).reshape(ny, nx, _TOKEN + 1)
     values = _values(tokens)
     again = _tokens(values)
-    if again.tobytes() != body:
+    if not np.array_equal(again, tokens):
         row, value, at = np.unravel_index(np.argmax(again != tokens), tokens.shape)
         if at == _TOKEN:
             raise ValueError(f"row {row + 1}, value {value + 1} is followed by "
@@ -370,15 +371,19 @@ def read_field(path) -> ScalarField:
     """The field dump at ``path``; a dump it cannot parse is a ValueError naming the path."""
     try:
         with open(path, "rb") as fh:
-            header = [fh.readline().decode().strip() for _ in range(3)]
-            if not header[2]:
-                raise ValueError("lacks the 3-line header (nx, ny, lx ly)")
-            nx = _header_line(header, 1, "nx", int)
-            ny = _header_line(header, 2, "ny", int)
-            lx, ly = _header_line(header, 3, "lx ly", _extents)
-            grid = make_grid(nx, ny, lx, ly)
-            body = fh.read()
-        return ScalarField(grid, _read_body(body, nx, ny).T)
+            data = fh.read()
+        header, start = [], 0
+        for _ in range(3):  # each line up to and including its newline; a missing line reads empty
+            end = data.find(b"\n", start) + 1 or len(data)
+            header.append(data[start:end].decode().strip())
+            start = end
+        if not header[2]:
+            raise ValueError("lacks the 3-line header (nx, ny, lx ly)")
+        nx = _header_line(header, 1, "nx", int)
+        ny = _header_line(header, 2, "ny", int)
+        lx, ly = _header_line(header, 3, "lx ly", _extents)
+        grid = make_grid(nx, ny, lx, ly)
+        return ScalarField(grid, _read_body(memoryview(data)[start:], nx, ny).T)  # no copy of the body
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -32,12 +32,18 @@ Existence theory for the truncated pair is non-constructive, so the
 solver is a Picard iteration with lagged coefficients: its fixed points
 are exactly the discrete solutions.  A level takes the full k-update
 until the increment first grows, then half of it for the rest of the
-level.  The inner solves are inexact in the sense of inexact Newton
-methods (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996): an
-iterate that the next outer iteration will overwrite is solved only to a
-tenth of the predicted next increment, and convergence is certified only
-by an iteration whose inner solves all certify: each met the full inner
-tolerance or stopped at its rounding floor (see
+level.  Where the iteration contracts slowly (the n = 64 level of a 33^2
+chi sweep at amplitude 1e5 oscillated with period 2 and shrank its
+increment by about 0.92 per iteration), the level mixes: from its first
+iteration, the third or later, whose increment exceeds half the previous
+one, k is updated by type-II Anderson acceleration of depth 5 (Walker &
+Ni 2011; Evans, Pollock, Rebholz & Xiao 2020 on why it waits for slow
+linear contraction).  The inner solves are inexact in the sense of
+inexact Newton methods (Dembo, Eisenstat & Steihaug 1982; Eisenstat &
+Walker 1996): an iterate that the next outer iteration will overwrite is
+solved only to a tenth of the predicted next increment, and convergence
+is certified only by an iteration whose inner solves all certify: each
+met the full inner tolerance or stopped at its rounding floor (see
 :func:`~turbsolve.linsolve.solve_spd`).
 Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
@@ -73,6 +79,11 @@ ROUTES = ("direct", "kirchhoff", "chi")
 # An inner solve of a non-certifying outer iteration stops at this fraction
 # of the predicted next relative increment
 FORCING = 0.1
+
+# Anderson mixing of k: how many differences of past iterates it combines,
+# and the contraction ratio above which a level starts mixing
+ANDERSON_DEPTH = 5
+SLOW_CONTRACTION = 0.5
 
 
 @dataclass
@@ -297,6 +308,30 @@ def _ratio(a: float, b: float) -> float:
     return 1.0 if a >= b else a / b
 
 
+def _anderson(history, omega):
+    """The type-II Anderson iterate from ``history``, or None where it has a negative or non-finite cell.
+
+    ``history`` holds two or more (k_i, f_i = G(k_i) - k_i), oldest first,
+    G the k-update.  With dK and dF the differences of consecutive k_i and
+    f_i, and gamma minimising |f - dF gamma|_2 for the last (k, f), solved
+    through its small normal equations, the iterate is the damped plain
+    step k + omega f corrected along the history: k + omega f -
+    (dK + omega dF) gamma (Walker & Ni 2011).
+    """
+    K = np.stack([k.reshape(-1) for k, _ in history])
+    F = np.stack([r.reshape(-1) for _, r in history])
+    dK, dF = np.diff(K, axis=0), np.diff(F, axis=0)
+    with np.errstate(all="ignore"):  # a step that is not finite is refused below
+        try:
+            gamma = np.linalg.lstsq(dF @ dF.T, dF @ F[-1], rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return None
+        mixed = K[-1] + omega * F[-1] - (dK + omega * dF).T @ gamma
+    if not (np.all(np.isfinite(mixed)) and mixed.min() >= 0.0):
+        return None
+    return mixed.reshape(history[-1][0].shape)
+
+
 def _picard(m, n, f, cfg, u0, k0, k_step):
     """Picard iteration alternating the u-solve and ``k_step``.
 
@@ -308,9 +343,22 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     FORCING * min(1, rho) * min(1, rel), rel the last relative increment
     max(|du|/|u|, |dk|/|k|), a tenth of the predicted next one (never below
     inner_tol).  So the first two iterations run to inner_tol, and so does
-    the one after a small increment that a loose solve produced.  The
-    k-update is k <- (1-w) k_prev + w k_new with w = 1 until the increment
-    first grows and w = 0.5 for the rest of the level.  On convergence u
+    the one after a small increment that a loose solve produced.  The plain
+    k-update is k <- (1-w) k + w G(k), G the k-update ``k_step``, with w = 1
+    until the increment first grows and w = 0.5 for the rest of the level.
+
+    The first iteration, the third or later, whose increment exceeds
+    SLOW_CONTRACTION = 0.5 times the previous one switches Anderson mixing
+    on for the rest of the level.  Each mixing iteration adds (k, G(k) - k)
+    to a history of the last ANDERSON_DEPTH + 1 and takes the type-II
+    Anderson iterate of :func:`_anderson`, damped by the same w.  A mixed
+    iterate with a negative or non-finite cell is replaced by the plain
+    step, and the history is cleared.  On a mixing iteration the k
+    increment is the Picard residual |G(k) - k|_inf, not the length of the
+    mixed step, so a short mixed step cannot end a level.  No level of the
+    direct 129^2 sweep or the Kirchhoff 129^2 solve at amplitude 50 mixes.
+
+    On convergence u
     is re-solved once at the final k, so the pair satisfies the u-equation
     to inner-solve accuracy.  Every inner solve starts from the current
     iterate, so one whose start already meets inner_tol costs a single
@@ -321,6 +369,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     u = u0 if u0 is not None else ScalarField.zeros(f.grid)
     k = k0 if k0 is not None else ScalarField.zeros(f.grid)
     omega = 1.0
+    mixing = False
+    history = []  # (k, G(k) - k) of the last ANDERSON_DEPTH + 1 mixing iterations
     clamp_total = 0
     increment = float("inf")
     prev_increment = float("inf")
@@ -332,10 +382,21 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
                                                  loose_tol=loose_tol)
         kstep = k_step(u_new, k, frozen, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
         clamp_total += kstep.clamp_count
-        k_vals = (1.0 - omega) * k.values + omega * kstep.field.values
-        k_new = ScalarField(k.grid, k_vals)
+        plain = (1.0 - omega) * k.values + omega * kstep.field.values
         du = linf_norm(ScalarField(u.grid, u_new.values - u.values))
-        dk = linf_norm(ScalarField(k.grid, k_new.values - k.values))
+        dk = linf_norm(ScalarField(k.grid, plain - k.values))
+        if iterations >= 3 and max(du, dk) > SLOW_CONTRACTION * prev_increment:
+            mixing = True  # for the rest of the level
+        if mixing:
+            residual = kstep.field.values - k.values
+            history = history[-ANDERSON_DEPTH:] + [(k.values, residual)]
+            k_vals = _anderson(history, omega) if len(history) > 1 else plain
+            if k_vals is None:  # the plain step, and the history starts again after it
+                k_vals, history = plain, []
+            dk = linf_norm(ScalarField(k.grid, residual))  # a short mixed step cannot end the level
+        else:
+            k_vals = plain
+        k_new = ScalarField(k.grid, k_vals)
         increment = max(du, dk)
         certified = all(r.relative_residual <= cfg.inner_tol or r.at_floor
                         for r in (u_solve, kstep.report))

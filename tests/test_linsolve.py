@@ -28,6 +28,7 @@ from turbsolve.linsolve import (
     _dst2_basis,
     _ldexp,
     poisson_inverse,
+    unit_operator,
 )
 from turbsolve.verify import manufactured_forcing, manufactured_solution
 
@@ -433,12 +434,18 @@ def precondition(g, r):
 
 
 def reference_cg(A, b, tol, precondition=precondition):
-    """Out-of-place flexible preconditioned CG: a fresh array for every vector update."""
+    """Out-of-place flexible CG preconditioned with S P S, P = ``precondition``: a fresh array for
+    every vector update."""
+    S = 1.0 if A.preconditioner_scale is None else A.preconditioner_scale
+
+    def scaled(r):
+        return S * precondition(A.grid, S * r)
+
     rhs = b.values
     bnorm = float(np.linalg.norm(rhs))
     x = np.zeros(rhs.shape)
     r = rhs.copy()
-    z = precondition(A.grid, r)
+    z = scaled(r)
     p = z.copy()
     iterations = 0
     while True:
@@ -454,17 +461,20 @@ def reference_cg(A, b, tol, precondition=precondition):
             if res_true <= tol:
                 return x, LinearSolveReport(iterations, res_true)
             r = r_true
-            z = precondition(A.grid, r)
+            z = scaled(r)
             p = z.copy()
             continue
-        z = precondition(A.grid, r)
+        z = scaled(r)
         p = z + (-float(np.vdot(z, Ap)) / pAp) * p
 
 
-def contrast_problem():
+def contrast_problem(jump=0.0):
     g = make_grid(33, 33, 1.0, 1.0)
-    # contrast about 37: enough CG iterations for in-place drift to show
-    c = ScalarField.from_function(g, lambda X, Y: 1.0 + 30.0 * X * Y + 10.0 * np.sin(5.0 * X) ** 2)
+    # contrast about 37, smooth: 12 CG iterations.  A jump of 20 across 13
+    # y-stripes, which the diagonal scaling cannot flatten, takes 41: enough
+    # for in-place drift to show.
+    c = ScalarField.from_function(g, lambda X, Y: 1.0 + 30.0 * X * Y + 10.0 * np.sin(5.0 * X) ** 2
+                                  + jump * (np.sin(40.0 * Y) > 0))
     return g, assemble(c), ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
 
 
@@ -501,6 +511,37 @@ class TestPreconditioner:
         assert peak < w1.nbytes // 16  # no temporary of the grid's size, not even a float32 one
         assert np.array_equal(out, apply_poisson_inverse(g, r))
 
+    def test_scale_is_the_square_root_of_the_diagonal_ratio(self):
+        g, c, A, _ = random_operator(seed=4)
+
+        def dense_diagonal(op):
+            return np.array([op.apply(e.reshape(g.shape)).ravel()[i]
+                             for i, e in enumerate(np.eye(g.nx * g.ny))]).reshape(g.shape)
+
+        S = A.preconditioner_scale
+        assert S is A.preconditioner_scale  # built once per operator
+        ratio = dense_diagonal(unit_operator(g)) / dense_diagonal(A)
+        assert np.allclose(S**2, ratio, rtol=1e-15, atol=0)
+
+    def test_unit_operator_is_unscaled(self):
+        # S = 1 exactly: solves on A(1) keep the plain A(1) inverse and its bits
+        g = make_grid(17, 9, 1.0, 2.0)
+        assert unit_operator(g).preconditioner_scale is None
+        assert assemble(ScalarField.full(g, 1.0)).preconditioner_scale is None
+        assert assemble(ScalarField.full(g, 2.0)).preconditioner_scale is not None
+
+    @pytest.mark.parametrize("amplitude", [1e2, 1e4, 1e6, 1e8], ids=repr)
+    def test_iterations_flat_in_viscosity_contrast(self, amplitude):
+        # nu = 1 + sqrt(k) at k up to amplitude, contrast 11 to about 1e4: the
+        # unscaled A(1) inverse took 50, 157, 475 and 1 384 iterations here
+        g = make_grid(65, 65, 1.0, 1.0)
+        X, Y = g.cell_centers()
+        load = np.exp(-((X - 0.47) ** 2 + (Y - 0.53) ** 2) / (2 * 0.1**2))
+        A = assemble(ScalarField(g, 1.0 + np.sqrt(amplitude * load / load.max())))
+        report = solve_spd(A, ScalarField(g, load), tol=1e-12)[1]
+        assert report.iterations <= 25
+        assert report.relative_residual <= 1e-12 or report.at_floor  # at the floor at 1e8
+
     def test_float32_costs_at_most_two_iterations(self):
         g, A, b = contrast_problem()
         report = solve_spd(A, b, tol=1e-12)[1]
@@ -525,7 +566,7 @@ class TestInPlace:
         assert np.max(np.abs(fresh - flux)) <= 1e-13 * np.max(np.abs(flux))
 
     def test_solve_matches_out_of_place_cg_bit_for_bit(self):
-        g, A, b = contrast_problem()
+        g, A, b = contrast_problem(jump=20.0)
         x, report = solve_spd(A, b, tol=1e-12)
         x_ref, report_ref = reference_cg(A, b, 1e-12)
         assert report == report_ref and report.iterations > 30
