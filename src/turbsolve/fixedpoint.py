@@ -15,8 +15,11 @@ D is read off the assembled operator A(c) itself: its flat stencil weights
 cells.  An outer iteration evaluates the truncated coefficients once, at
 its lagged k (:class:`FrozenCoefficients`): the u-solve's operator
 A(nu_n(k)) is the one carrier of nu_n(k), and the k-update takes it, forms
-its source from it and reads a_n(k) beside it.  Sharing the weights makes
-two substitution identities hold *algebraically* (not just to O(h^2)):
+its source from it and reads a_n(k) beside it.  On a proportional pair it
+is the k-equation's operator too: stencil weights are linear in the
+coefficient, so A(a_n) = gamma A(nu_n), and an outer iteration builds one
+stencil.  Sharing the weights makes two substitution identities hold
+*algebraically* (not just to O(h^2)):
 
 * tested with u itself, the u-equation gives the energy identity
   sum f u m = weighted_energy(nu_n(k), u);
@@ -44,7 +47,9 @@ Walker 1996): an iterate that the next outer iteration will overwrite is
 solved only to a tenth of the predicted next increment, and convergence
 is certified only by an iteration whose inner solves all certify: each
 met the full inner tolerance or stopped at its rounding floor (see
-:func:`~turbsolve.linsolve.solve_spd`).
+:func:`~turbsolve.linsolve.solve_spd`).  The prediction rests on the
+measured contraction ratio; a sweep level starts from the ratio that the
+level before it measured last.
 Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
 (solve -Lap K = source for K = A(k), then map back through A_inv), and
@@ -91,9 +96,11 @@ class PicardConfig:
     """Outer-iteration controls.
 
     Without a warm start u and k begin at zero.  inner_tol is the
-    relative residual of the certifying inner solves: those of the first
-    two outer iterations, of the one that converges and of the final u
-    re-solve; the others stop earlier (see ``_picard``).
+    relative residual of the certifying inner solves: those of the one
+    outer iteration that converges and of the final u re-solve, and those
+    of the first two, except on a sweep level after one that converged in
+    two or more iterations, which starts from that level's last
+    contraction ratio.  The others stop earlier (see ``_picard``).
     """
 
     tol: float = 1e-10
@@ -181,8 +188,11 @@ def _clamp(values: np.ndarray):
 class FrozenCoefficients(NamedTuple):
     """The truncated coefficients at one k, evaluated once: what an outer iteration freezes.
 
-    The u-solve solves with A_nu, the k-updates read their source off it,
-    and the direct and chi k-updates solve with A(a_n).
+    The u-solve solves with A_nu, and the k-updates read their source off
+    it.  On a proportional pair the direct and chi k-updates and the final
+    report solve with and read A_nu too, since A(a_n) = gamma A_nu;
+    otherwise the direct k-update and the report build A(a_n) from a_n
+    (see :func:`_k_operator`).
     """
 
     A_nu: DiffusionOperator  # A(nu_n(k))
@@ -194,6 +204,21 @@ def _freeze(m: ViscosityModel, k: ScalarField, n: int) -> FrozenCoefficients:
     """The coefficients of level n frozen at k; a bad level or a negative cell of k raises here."""
     nu_n, a_n, clipped = truncated_coefficients(m, k.values, n)
     return FrozenCoefficients(assemble(ScalarField(k.grid, nu_n)), a_n, clipped)
+
+
+def _k_operator(frozen: FrozenCoefficients, m: ViscosityModel) -> tuple[DiffusionOperator, float]:
+    """(A, c) with A(a_n) = c A: A_nu and gamma on a proportional pair, A(a_n) and 1 otherwise.
+
+    Stencil weights are linear in the coefficient, so A(gamma nu_n) =
+    gamma A(nu_n), and a proportional pair solves its k-equation on the
+    u-solve's operator, whose preconditioner scale is then built once for
+    both solves.  At gamma a power of four the two forms solve bit for bit
+    alike: every scaling in :func:`~turbsolve.linsolve.solve_spd`, that of
+    the preconditioner scale by sqrt(1/gamma) included, is then exact.
+    """
+    if m.gamma is not None:
+        return frozen.A_nu, m.gamma
+    return assemble(ScalarField(frozen.A_nu.grid, frozen.a_n)), 1.0
 
 
 def solve_u_given_k(
@@ -218,17 +243,18 @@ def solve_k_given_u(
     """One lagged k-update: coefficient and source frozen at k_lag.
 
     ``frozen`` holds the coefficients at k_lag that u was solved with: the
-    source min(n, D(u, nu_n)) is read off its A_nu, and the solve runs on
-    A(a_n).  The inner solve starts from k_lag, which m's domain check
-    rejects if negative, though no coefficient is evaluated here.  The
-    solve result is clamped at zero; the monotone operator makes negative
-    cells impossible for this nonnegative source, so any clamp is a scheme
-    anomaly and is counted.
+    source min(n, D(u, nu_n)) is read off its A_nu.  The solve runs on
+    A(a_n), which on a proportional pair is A_nu k = source / gamma (see
+    :func:`_k_operator`).  The inner solve starts from k_lag, which m's
+    domain check rejects if negative, though no coefficient is evaluated
+    here.  The solve result is clamped at zero; the monotone operator makes
+    negative cells impossible for this nonnegative source, so any clamp is
+    a scheme anomaly and is counted.
     """
     m._check_domain(k_lag.values)
     source, _ = _truncated_source(u, frozen.A_nu, n)
-    op = assemble(ScalarField(u.grid, frozen.a_n))
-    k, report = solve_spd(op, ScalarField(u.grid, source), tol=inner_tol, x0=k_lag,
+    op, c = _k_operator(frozen, m)
+    k, report = solve_spd(op, ScalarField(u.grid, source / c), tol=inner_tol, x0=k_lag,
                           loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(k.values)
     return KStep(ScalarField(u.grid, k_vals), clamp_count, report)
@@ -264,37 +290,39 @@ def _chi_k_step(
 ) -> KStep:
     """chi-route k-update: solve A(a_n(k_lag)) chi = f u, then k = max(0, chi - u^2/(2 gamma)).
 
-    a_n(k_lag) is read off ``frozen``; the source f u needs no operator.
-    The inner solve starts from k_lag + u^2/(2 gamma); a negative k_lag
-    fails m's domain check first, as on the direct route.
+    With a_n = gamma nu_n that is A_nu chi = f u / gamma, solved on the
+    frozen A_nu (see :func:`_k_operator`); the source f u needs no
+    operator.  The inner solve starts from k_lag + u^2/(2 gamma); a
+    negative k_lag fails m's domain check first, as on the direct route.
     """
     m._check_domain(k_lag.values)
-    op = assemble(ScalarField(u.grid, frozen.a_n))
+    op, c = _k_operator(frozen, m)
     half_u2 = 0.5 / m.gamma * u.values**2
-    chi, report = solve_spd(op, ScalarField(u.grid, f.values * u.values), tol=inner_tol,
+    chi, report = solve_spd(op, ScalarField(u.grid, f.values * u.values / c), tol=inner_tol,
                             x0=ScalarField(u.grid, k_lag.values + half_u2), loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(chi.values - half_u2)
     return KStep(ScalarField(u.grid, k_vals), clamp_count, report, chi)
 
 
-def _final_report(n, u, k, frozen, iterations, converged, increment, clamp_count):
+def _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_count):
     """The report of the pair (u, k), from the coefficients frozen at k.
 
     The source and the energy come from its A(nu_n), the k-residual and the
-    dissipation from A(a_n), built here once; each energy is read off its
-    operator.
+    dissipation from A(a_n) = c A of :func:`_k_operator`: c A(nu_n) itself
+    on a proportional pair, A(a_n) built here once otherwise.  Each energy
+    is read off its operator.
     """
-    A_a = assemble(ScalarField(u.grid, frozen.a_n))
+    A_a, c = _k_operator(frozen, m)
     source, src_clip = _truncated_source(u, frozen.A_nu, n)
     scale = max(float(np.linalg.norm(source)), 1e-300)
-    k_residual = float(np.linalg.norm(A_a.apply(k.values) - source)) / scale
+    k_residual = float(np.linalg.norm(c * A_a.apply(k.values) - source)) / scale
     return SolveReport(
         n=n,
         outer_iterations=iterations,
         converged=converged,
         final_increment=increment,
         energy=frozen.A_nu.energy(u),
-        dissipation=A_a.energy(k),
+        dissipation=c * A_a.energy(k),
         linf_u=linf_norm(u),
         linf_k=linf_norm(k),
         truncation_active=bool(frozen.clipped or src_clip),
@@ -332,20 +360,38 @@ def _anderson(history, omega):
     return mixed.reshape(history[-1][0].shape)
 
 
-def _picard(m, n, f, cfg, u0, k0, k_step):
+class _Carry:
+    """What a sweep level hands on to the next: the contraction ratio rho it measured last.
+
+    rho is increment / prev_increment of the iteration that converged the
+    level, and 0 after a level that ran one iteration or did not converge;
+    0 also starts a sweep.  The next level, warm-started from this one,
+    runs its first inner solves to FORCING * rho (see ``_picard``).
+    """
+
+    def __init__(self):
+        self.rho = 0.0
+
+
+def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     """Picard iteration alternating the u-solve and ``k_step``.
 
     Stops when max(|du|_inf, |dk|_inf) <= tol in an iteration whose inner
     solves all certify: each met ``cfg.inner_tol`` or stopped at the
     rounding floor, where no smaller residual can be computed.  The inner
-    solves of the other iterations are inexact: once a contraction ratio rho = increment_j /
-    increment_{j-1} has been measured, each may stop at relative residual
-    FORCING * min(1, rho) * min(1, rel), rel the last relative increment
-    max(|du|/|u|, |dk|/|k|), a tenth of the predicted next one (never below
-    inner_tol).  So the first two iterations run to inner_tol, and so does
-    the one after a small increment that a loose solve produced.  The plain
-    k-update is k <- (1-w) k + w G(k), G the k-update ``k_step``, with w = 1
-    until the increment first grows and w = 0.5 for the rest of the level.
+    solves of the other iterations are inexact: once a contraction ratio
+    rho = increment_j / increment_{j-1} has been measured, each may stop at
+    relative residual FORCING * min(1, rho) * min(1, rel), rel the last
+    relative increment max(|du|/|u|, |dk|/|k|), a tenth of the predicted
+    next one (never below inner_tol).  The first iteration measures no
+    ratio.  A sweep level warm-started from a level that converged in two
+    or more iterations takes that level's last ratio instead (``carry``,
+    see :class:`_Carry`): its first inner solves stop at FORCING * rho, and
+    its second at FORCING * rho * min(1, rel).  Otherwise the first two
+    iterations run to inner_tol.  So does the one after a small increment
+    that a loose solve produced.  The plain k-update is
+    k <- (1-w) k + w G(k), G the k-update ``k_step``, with w = 1 until the
+    increment first grows and w = 0.5 for the rest of the level.
 
     The first iteration, the third or later, whose increment exceeds
     SLOW_CONTRACTION = 0.5 times the previous one switches Anderson mixing
@@ -374,7 +420,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
     clamp_total = 0
     increment = float("inf")
     prev_increment = float("inf")
-    loose_tol = 0.0  # stop target of the next inner solves; 0 runs them to inner_tol
+    carried = carry.rho if carry is not None else 0.0
+    loose_tol = FORCING * carried  # stop target of the next inner solves; 0 runs them to inner_tol
     converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
@@ -406,8 +453,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
             break
         if increment > prev_increment:
             omega = 0.5
-        # after the first iteration prev_increment is inf, so rho = 0 keeps the second tight
-        rho = _ratio(increment, prev_increment)
+        # the first iteration measures no ratio: the second takes the one handed on
+        rho = _ratio(increment, prev_increment) if iterations > 1 else carried
         rel = max(_ratio(du, linf_norm(u)), _ratio(dk, linf_norm(k)))
         loose_tol = FORCING * rho * rel if increment > cfg.tol else 0.0
         prev_increment = increment
@@ -417,7 +464,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step):
         u, _, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
     else:
         frozen = _freeze(m, k, n)
-    report = _final_report(n, u, k, frozen, iterations, converged, increment, clamp_total)
+    report = _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_total)
+    if carry is not None:
+        carry.rho = _ratio(increment, prev_increment) if converged else 0.0
     return u, k, report, kstep
 
 
@@ -429,6 +478,8 @@ def picard_solve(
     u0: Optional[ScalarField] = None,
     k0: Optional[ScalarField] = None,
     k_update: str = "direct",
+    *,
+    _carry: Optional[_Carry] = None,
 ) -> tuple[ScalarField, ScalarField, SolveReport]:
     """Coupled solve on the ``direct`` or ``kirchhoff`` k-update.
 
@@ -442,7 +493,7 @@ def picard_solve(
     if k_update not in ("direct", "kirchhoff"):
         raise ValueError(f"unknown k_update {k_update!r}")
     step = solve_k_given_u if k_update == "direct" else kirchhoff_k_solve
-    u, k, report, _ = _picard(m, n, f, cfg, u0, k0, step)
+    u, k, report, _ = _picard(m, n, f, cfg, u0, k0, step, _carry)
     return u, k, report
 
 
@@ -453,6 +504,8 @@ def chi_decoupled_solve(
     cfg: PicardConfig,
     u0: Optional[ScalarField] = None,
     k0: Optional[ScalarField] = None,
+    *,
+    _carry: Optional[_Carry] = None,
 ) -> tuple[ScalarField, ScalarField, ScalarField, SolveReport]:
     """Proportional-pair route through chi = k + u^2/(2 gamma).
 
@@ -466,7 +519,7 @@ def chi_decoupled_solve(
     """
     n = _check_level(n)  # an int level for the report
     check_route("chi", m)
-    u, k, report, kstep = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f))
+    u, k, report, kstep = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f), _carry)
     return u, k, kstep.chi, report
 
 
@@ -516,7 +569,11 @@ def n_sweep(
     Individual non-convergences are recorded in the per-level reports and
     the sweep continues; consecutive-level solution differences land in
     the entries.  Once no truncation is active the discrete problems
-    coincide, so the differences collapse to iteration noise.
+    coincide, so the differences collapse to iteration noise.  Each level
+    also hands the next the contraction ratio it measured last, through
+    the private ``_carry`` of :func:`picard_solve` and
+    :func:`chi_decoupled_solve` (see :class:`_Carry`): every level stays
+    one call of a public level solve, which the benchmark's tracer times.
     """
     levels = check_levels(n_list)
     check_route(route, m)
@@ -524,12 +581,15 @@ def n_sweep(
     entries: list[SweepEntry] = []
     u_prev = None
     k_prev = None
+    carry = _Carry()
     for n in levels:
         chi = None
         if route == "chi":
-            u, k, chi, report = chi_decoupled_solve(m, n, f, cfg, u0=u_prev, k0=k_prev)
+            u, k, chi, report = chi_decoupled_solve(m, n, f, cfg, u0=u_prev, k0=k_prev,
+                                                    _carry=carry)
         else:
-            u, k, report = picard_solve(m, n, f, cfg, u0=u_prev, k0=k_prev, k_update=route)
+            u, k, report = picard_solve(m, n, f, cfg, u0=u_prev, k0=k_prev, k_update=route,
+                                        _carry=carry)
         entry = SweepEntry(report=report, u=u, k=k, chi=chi)
         if u_prev is not None:
             entry.diff_u = linf_norm(ScalarField(f.grid, u.values - u_prev.values))

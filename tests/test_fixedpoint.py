@@ -531,24 +531,32 @@ def solve_level(route, m, n, f, cfg):
 
 @pytest.mark.parametrize("route", fixedpoint.ROUTES)
 class TestOneOperatorPerIterate:
-    def test_two_stencils_per_outer_iteration(self, monkeypatch, route):
-        # the u-solve's A(nu_n(k)) and the k-step's own operator; the k-step
-        # reads its source off the first, and the Kirchhoff k-step's A(1) is
-        # built once per grid.  The final report builds A(nu_n) and A(a_n) of
-        # the returned pair once each.
+    def test_stencils_per_outer_iteration(self, monkeypatch, route):
+        # the u-solve's A(nu_n(k)) is the one stencil of an outer iteration on a
+        # proportional pair: its k-step solves on it too, A(a_n) = gamma
+        # A(nu_n), and the Kirchhoff k-step's A(1) is built once per grid.
+        # The final report builds A(nu_n) of the returned pair.  Without
+        # gamma the direct k-step and the report build A(a_n) as well.
         g = make_grid(17, 17, 1.0, 1.0)
         f = gaussian_source(g, amplitude=50.0)
         linsolve.unit_operator(g)  # warm, whatever ran before
         builds = count_calls(monkeypatch, _kernels.stencil_weights)
-        counts = []
-        for max_outer in (1, 2, 3):
-            builds.clear()
-            _, _, report = solve_level(route, HP_UNIT, 8, f,
-                                       PicardConfig(tol=1e-14, max_outer=max_outer))
-            assert not report.converged
-            counts.append(len(builds))
-        per_iteration = 1 if route == "kirchhoff" else 2
-        assert counts == [per_iteration * j + 2 for j in (1, 2, 3)]
+        for m in (HP_UNIT, NO_GAMMA):
+            if route == "chi" and m.gamma is None:
+                continue
+            counts = []
+            for max_outer in (1, 2, 3):
+                builds.clear()
+                _, _, report = solve_level(route, m, 8, f,
+                                           PicardConfig(tol=1e-14, max_outer=max_outer))
+                assert not report.converged
+                counts.append(len(builds))
+            if m.gamma is not None:
+                assert counts == [j + 1 for j in (1, 2, 3)]
+            elif route == "kirchhoff":
+                assert counts == [j + 2 for j in (1, 2, 3)]
+            else:
+                assert counts == [2 * j + 2 for j in (1, 2, 3)]
 
     def test_one_coefficient_evaluation_per_outer_iteration(self, monkeypatch, route):
         # the u-solve's evaluation at k_lag is the k-step's too, and one at the
@@ -578,6 +586,48 @@ class TestOneOperatorPerIterate:
         nu_n, a_n, _ = coeffs.truncated_coefficients(HP_UNIT, k.values, 4)
         assert report.energy == weighted_energy(ScalarField(g, nu_n), u)
         assert report.dissipation == weighted_energy(ScalarField(g, a_n), k)
+
+
+def hand_assembled_k_operator(frozen, m):
+    """A(a_n) itself, assembled from the frozen a_n on every pair, and 1."""
+    return assemble(ScalarField(frozen.A_nu.grid, frozen.a_n)), 1.0
+
+
+class TestProportionalPairOnTheUOperator:
+    """A proportional pair's k-equation runs on A(nu_n): A(gamma nu_n) = gamma A(nu_n)."""
+
+    @pytest.mark.parametrize("route", ["direct", "chi"])
+    @pytest.mark.parametrize("gamma, rtol", [(1.0, 0.0), (4.0, 0.0), (0.25, 0.0),
+                                             (2.0, 1e-14), (3.0, 1e-14)])
+    def test_matches_the_hand_assembled_operator(self, monkeypatch, route, gamma, rtol):
+        # at gamma a power of four every scaling of the solve is exact, the
+        # preconditioner's sqrt(1/gamma) included, so the two agree bit for
+        # bit; at other gamma they agree to rounding (5e-16 measured)
+        g = make_grid(17, 17, 1.0, 1.0)
+        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=gamma, a2=gamma,
+                           gamma=gamma, delta=min(1.0, gamma))
+        f = gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
+        builds = count_calls(monkeypatch, _kernels.stencil_weights)
+        u, k, report = solve_level(route, m, 2, f, PicardConfig())
+        assert len(builds) == report.outer_iterations + 1  # A(nu_n) per iterate
+        monkeypatch.setattr(fixedpoint, "_k_operator", hand_assembled_k_operator)
+        builds.clear()
+        u_ref, k_ref, ref = solve_level(route, m, 2, f, PicardConfig())
+        assert len(builds) == 2 * (ref.outer_iterations + 1)  # and A(a_n) beside it
+        assert report.converged and report.truncation_active
+        if rtol == 0.0:
+            assert np.array_equal(u.values, u_ref.values)
+            assert np.array_equal(k.values, k_ref.values)
+            assert report == ref
+            return
+        assert report.outer_iterations == ref.outer_iterations
+        assert linf_norm(ScalarField(g, u.values - u_ref.values)) <= rtol * linf_norm(u_ref)
+        assert linf_norm(ScalarField(g, k.values - k_ref.values)) <= rtol * linf_norm(k_ref)
+        for key in ("energy", "dissipation", "linf_u", "linf_k"):
+            assert getattr(report, key) == pytest.approx(getattr(ref, key), rel=rtol, abs=0.0)
+        # differences near 1e-11 and residuals near 1e-13 keep only a few digits
+        assert report.final_increment == pytest.approx(ref.final_increment, rel=0.0, abs=rtol)
+        assert report.k_residual == pytest.approx(ref.k_residual, rel=0.0, abs=rtol)
 
 
 class TestSweep:
@@ -678,6 +728,97 @@ class TestInexactInnerSolves:
         assert loose_but_small and loose_but_small[0] < report.outer_iterations
         # ... to an iteration whose inner solves all certified inner_tol
         assert max(r for _, r in solves[-3:-1]) <= cfg.inner_tol
+
+
+def record_inner_solves(monkeypatch) -> list:
+    """Record the report of every inner solve of the Picard driver, in call order."""
+    reports = []
+    solve = fixedpoint.solve_spd
+
+    def recording(*args, **kwargs):
+        x, report = solve(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(fixedpoint, "solve_spd", recording)
+    return reports
+
+
+def certified(report) -> bool:
+    return report.relative_residual <= INNER_TOL or report.at_floor
+
+
+class TestForcingCarriedOver:
+    """A warm sweep level starts its inner solves at FORCING * rho, rho the last
+    contraction ratio that the level before measured, if that level converged
+    in two or more outer iterations; otherwise it starts at inner_tol."""
+
+    def setup_sweep(self):
+        g = make_grid(33, 33, 1.0, 1.0)
+        return gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
+
+    def test_warm_level_starts_at_the_carried_ratio(self, monkeypatch):
+        f = self.setup_sweep()
+        cfg = PicardConfig()
+        carry = fixedpoint._Carry()
+        u2, k2, level2 = picard_solve(HP_UNIT, 2, f, cfg, _carry=carry)
+        assert level2.converged and level2.outer_iterations >= 2 and 0 < carry.rho < 1
+        solves = record_inner_solves(monkeypatch)
+        entries = n_sweep(HP_UNIT, f, [2, 4], cfg)
+        assert all(e.report.converged for e in entries)
+        assert entries[0].report == level2
+        # level 2: u and k per outer iteration, then the u re-solve; level 4 follows
+        level4 = solves[2 * level2.outer_iterations + 1:]
+        assert len(level4) == 2 * entries[1].report.outer_iterations + 1
+        # the first u-solve's start already meets inner_tol; the k-solve stops loose
+        u_solve, k_solve = level4[:2]
+        assert u_solve.relative_residual <= fixedpoint.FORCING * carry.rho
+        assert INNER_TOL < k_solve.relative_residual <= fixedpoint.FORCING * carry.rho
+        solves.clear()
+        _, _, tight = picard_solve(HP_UNIT, 4, f, cfg, u0=u2, k0=k2)
+        assert all(certified(r) for r in solves[:4])
+        # 29 against 42 CG iterations, 13 against 14 outer iterations
+        assert sum(r.iterations for r in level4) < sum(r.iterations for r in solves)
+        assert entries[1].report.outer_iterations <= tight.outer_iterations
+
+    def test_tight_start_after_a_one_iteration_level(self, monkeypatch):
+        f = self.setup_sweep()
+        cfg = PicardConfig()
+        settled = n_sweep(HP_UNIT, f, [2, 4, 8], cfg)[1:]
+        # level 8 takes one outer iteration from level 4, and hands on no ratio
+        carry = fixedpoint._Carry()
+        u2, k2, _ = picard_solve(HP_UNIT, 2, f, cfg, _carry=carry)
+        _, _, level4 = picard_solve(HP_UNIT, 4, f, cfg, u0=u2, k0=k2, _carry=carry)
+        assert level4.converged and carry.rho > 0
+        _, _, level8 = picard_solve(HP_UNIT, 8, f, cfg, u0=settled[0].u, k0=settled[0].k,
+                                    _carry=carry)
+        assert level8 == settled[1].report and level8.outer_iterations == 1
+        assert carry.rho == 0.0
+        # a level after it runs as a level with nothing carried: tight, bit for bit
+        solves = record_inner_solves(monkeypatch)
+        u, k, after = picard_solve(HP_UNIT, 4, f, cfg, u0=u2, k0=k2, _carry=carry)
+        assert after.outer_iterations >= 2 and all(certified(r) for r in solves[:4])
+        u_ref, k_ref, ref = picard_solve(HP_UNIT, 4, f, cfg, u0=u2, k0=k2)
+        assert after == ref
+        assert np.array_equal(u.values, u_ref.values) and np.array_equal(k.values, k_ref.values)
+
+    def test_tight_start_after_an_unconverged_level(self, monkeypatch):
+        # at amplitude 1e3, level 2 converges in 11 outer iterations and
+        # level 4 needs 27 from it
+        g = make_grid(33, 33, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=1e3, sigma=0.1, centre=(0.47, 0.53))
+        cfg = PicardConfig(max_outer=11)
+        solves = record_inner_solves(monkeypatch)
+        entries = n_sweep(HP_UNIT, f, [2, 4, 16], cfg)
+        assert entries[0].report.converged and not entries[1].report.converged
+        # an unconverged level makes no u re-solve: u and k per outer iteration
+        level16 = solves[2 * entries[0].report.outer_iterations + 1 + 2 * cfg.max_outer:]
+        assert entries[2].report.outer_iterations >= 2 and all(certified(r) for r in level16[:4])
+        # as a level with nothing carried, bit for bit
+        u, k, ref = picard_solve(HP_UNIT, 16, f, cfg, u0=entries[1].u, k0=entries[1].k)
+        assert entries[2].report == ref
+        assert np.array_equal(entries[2].u.values, u.values)
+        assert np.array_equal(entries[2].k.values, k.values)
 
 
 class TestRoundingFloor:
