@@ -33,20 +33,19 @@ The verification module and the cross-route checks rely on both.
 
 Existence theory for the truncated pair is non-constructive, so the
 solver is a Picard iteration with lagged coefficients: its fixed points
-are exactly the discrete solutions.  A level takes the full k-update
-until the increment first grows, then half of it for the rest of the
-level.  Where the iteration contracts slowly (the n = 64 level of a 33^2
-chi sweep at amplitude 1e5 oscillated with period 2 and shrank its
-increment by about 0.92 per iteration), the level mixes: from its first
-iteration, the third or later, whose increment exceeds half the previous
-one, k is updated by type-II Anderson acceleration of depth 5 (Walker &
-Ni 2011; Evans, Pollock, Rebholz & Xiao 2020 on why it waits for slow
-linear contraction).  The inner solves are inexact in the sense of
-inexact Newton methods (Dembo, Eisenstat & Steihaug 1982; Eisenstat &
-Walker 1996): an iterate that the next outer iteration will overwrite is
-solved only to a tenth of the predicted next increment, and convergence
-is certified only by an iteration whose inner solves all certify: each
-met the full inner tolerance or stopped at its rounding floor (see
+are exactly the discrete solutions.  Its plain step is the k-update
+k <- G(k).  Where the iteration contracts slowly (with plain steps the
+n = 64 level of a 33^2 chi sweep at amplitude 1e5 shrinks its increment
+by about 0.95 per iteration), the level mixes: from its first iteration
+whose increment exceeds half the previous one, k is updated by type-II
+Anderson acceleration of depth 5 (Walker & Ni 2011; Evans, Pollock,
+Rebholz & Xiao 2020 on why it waits for slow linear contraction).  The
+inner solves are inexact in the sense of inexact Newton methods (Dembo,
+Eisenstat & Steihaug 1982; Eisenstat & Walker 1996): an iterate that the
+next outer iteration will overwrite is solved only to a tenth of the
+predicted next increment, and convergence is certified only by an
+iteration whose inner solves all certify: each met the full inner
+tolerance or stopped at its rounding floor (see
 :func:`~turbsolve.linsolve.solve_spd`).  The prediction rests on the
 measured contraction ratio; a sweep level starts from the ratio that the
 level before it measured last.
@@ -336,15 +335,15 @@ def _ratio(a: float, b: float) -> float:
     return 1.0 if a >= b else a / b
 
 
-def _anderson(history, omega):
+def _anderson(history):
     """The type-II Anderson iterate from ``history``, or None where it has a negative or non-finite cell.
 
     ``history`` holds two or more (k_i, f_i = G(k_i) - k_i), oldest first,
     G the k-update.  With dK and dF the differences of consecutive k_i and
     f_i, and gamma minimising |f - dF gamma|_2 for the last (k, f), solved
-    through its small normal equations, the iterate is the damped plain
-    step k + omega f corrected along the history: k + omega f -
-    (dK + omega dF) gamma (Walker & Ni 2011).
+    through its small normal equations, the iterate is the plain step
+    G(k) = k + f corrected along the history: k + f - (dK + dF) gamma
+    (Walker & Ni 2011).
     """
     K = np.stack([k.reshape(-1) for k, _ in history])
     F = np.stack([r.reshape(-1) for _, r in history])
@@ -354,7 +353,7 @@ def _anderson(history, omega):
             gamma = np.linalg.lstsq(dF @ dF.T, dF @ F[-1], rcond=None)[0]
         except np.linalg.LinAlgError:
             return None
-        mixed = K[-1] + omega * F[-1] - (dK + omega * dF).T @ gamma
+        mixed = K[-1] + F[-1] - (dK + dF).T @ gamma
     if not (np.all(np.isfinite(mixed)) and mixed.min() >= 0.0):
         return None
     return mixed.reshape(history[-1][0].shape)
@@ -389,20 +388,19 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     see :class:`_Carry`): its first inner solves stop at FORCING * rho, and
     its second at FORCING * rho * min(1, rel).  Otherwise the first two
     iterations run to inner_tol.  So does the one after a small increment
-    that a loose solve produced.  The plain k-update is
-    k <- (1-w) k + w G(k), G the k-update ``k_step``, with w = 1 until the
-    increment first grows and w = 0.5 for the rest of the level.
+    that a loose solve produced.  The plain step is k <- G(k), G the
+    k-update ``k_step``, and the k increment is the Picard residual
+    |G(k) - k|_inf on every iteration, so a short mixed step cannot end a
+    level.
 
-    The first iteration, the third or later, whose increment exceeds
-    SLOW_CONTRACTION = 0.5 times the previous one switches Anderson mixing
-    on for the rest of the level.  Each mixing iteration adds (k, G(k) - k)
-    to a history of the last ANDERSON_DEPTH + 1 and takes the type-II
-    Anderson iterate of :func:`_anderson`, damped by the same w.  A mixed
-    iterate with a negative or non-finite cell is replaced by the plain
-    step, and the history is cleared.  On a mixing iteration the k
-    increment is the Picard residual |G(k) - k|_inf, not the length of the
-    mixed step, so a short mixed step cannot end a level.  No level of the
-    direct 129^2 sweep or the Kirchhoff 129^2 solve at amplitude 50 mixes.
+    The first iteration whose increment exceeds SLOW_CONTRACTION = 0.5
+    times the previous one (the second at the earliest) switches Anderson
+    mixing on for the rest of the level.  Each mixing iteration adds
+    (k, G(k) - k) to a history of the last ANDERSON_DEPTH + 1 and takes the
+    type-II Anderson iterate of :func:`_anderson`.  A mixed iterate with a
+    negative or non-finite cell is replaced by the plain step, and the
+    history is cleared.  No level of the direct 129^2 sweep or the
+    Kirchhoff 129^2 solve at amplitude 50 mixes.
 
     On convergence u
     is re-solved once at the final k, so the pair satisfies the u-equation
@@ -414,7 +412,6 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     # used as given: nothing writes a start (solve_spd copies x0, and the loop rebinds u and k)
     u = u0 if u0 is not None else ScalarField.zeros(f.grid)
     k = k0 if k0 is not None else ScalarField.zeros(f.grid)
-    omega = 1.0
     mixing = False
     history = []  # (k, G(k) - k) of the last ANDERSON_DEPTH + 1 mixing iterations
     clamp_total = 0
@@ -429,30 +426,28 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
                                                  loose_tol=loose_tol)
         kstep = k_step(u_new, k, frozen, m, n, inner_tol=cfg.inner_tol, loose_tol=loose_tol)
         clamp_total += kstep.clamp_count
-        plain = (1.0 - omega) * k.values + omega * kstep.field.values
+        plain = kstep.field.values
+        residual = plain - k.values
         du = linf_norm(ScalarField(u.grid, u_new.values - u.values))
-        dk = linf_norm(ScalarField(k.grid, plain - k.values))
-        if iterations >= 3 and max(du, dk) > SLOW_CONTRACTION * prev_increment:
+        dk = linf_norm(ScalarField(k.grid, residual))
+        increment = max(du, dk)
+        # never on the first iteration, whose prev_increment is inf
+        if increment > SLOW_CONTRACTION * prev_increment:
             mixing = True  # for the rest of the level
         if mixing:
-            residual = kstep.field.values - k.values
             history = history[-ANDERSON_DEPTH:] + [(k.values, residual)]
-            k_vals = _anderson(history, omega) if len(history) > 1 else plain
+            k_vals = _anderson(history) if len(history) > 1 else plain
             if k_vals is None:  # the plain step, and the history starts again after it
                 k_vals, history = plain, []
-            dk = linf_norm(ScalarField(k.grid, residual))  # a short mixed step cannot end the level
         else:
             k_vals = plain
         k_new = ScalarField(k.grid, k_vals)
-        increment = max(du, dk)
         certified = all(r.relative_residual <= cfg.inner_tol or r.at_floor
                         for r in (u_solve, kstep.report))
         u, k = u_new, k_new
         if increment <= cfg.tol and certified:
             converged = True
             break
-        if increment > prev_increment:
-            omega = 0.5
         # the first iteration measures no ratio: the second takes the one handed on
         rho = _ratio(increment, prev_increment) if iterations > 1 else carried
         rel = max(_ratio(du, linf_norm(u)), _ratio(dk, linf_norm(k)))

@@ -472,6 +472,16 @@ def test_steep_table_kirchhoff_solve(tmp_path, capsys):
     assert report["converged"] and report["outer_iterations"] == 2
 
 
+def test_steep_table_direct_solve_converges(tmp_path):
+    # the README's steep table at n = 8: the level mixes, and mixing must not slow it
+    text = BASE.replace(BASE.split("[model]\n")[1].split("\n\n")[0] + "\n", STEEP_TABLE)
+    text = text.replace("n_list = 1 2 4", "n_list = 8").replace("amplitude = 1.0", "amplitude = 50.0")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    [report] = json.loads((out / "report.json").read_text())["reports"]
+    assert report["converged"] and report["outer_iterations"] <= 40  # 29
+
+
 def test_verify_zero_data(tmp_path):
     # a constant load takes no x0, y0 or sigma
     text = re.sub(r"x0 = .*\ny0 = .*\nsigma = .*\n", "", BASE).replace(

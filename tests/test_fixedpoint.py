@@ -287,16 +287,14 @@ class TestCheckRoute:
 
 
 class TestRelaxationFallback:
-    """The k-update relaxation drops from 1 to 0.5 the first time the increment grows, and
-    Anderson mixing of k starts at the first iteration, the third or later,
-    whose increment exceeds half the previous one, for the rest of the level.
+    """Anderson mixing of k starts at the first iteration whose increment
+    exceeds half the previous one, and stays on for the rest of the level.
 
-    With plain steps only (no mixing) the first case stops unconverged at
-    max_outer = 200 with increment 1 015.  With mixing the drop rescues
-    neither of the first two: without it they take 31 and 14 outer
-    iterations (32 and 29 with it).  The last two cases stop unconverged at
-    max_outer with plain steps (increments 398 and 0.015) and converge only
-    with mixing.
+    With plain steps k <- G(k) only (no mixing) the two cold chi cases stop
+    unconverged at max_outer = 200 with increments 1 015 and 398, and the
+    n = 64 level of the chi sweep with 0.015.  With mixing they converge in
+    30, 22 and 38 outer iterations.  The warm n = 16 level converges in 14
+    with plain steps and in 13, 11 of them mixed, with mixing.
     """
 
     def test_rescues_a_cold_chi_solve(self):
@@ -306,14 +304,16 @@ class TestRelaxationFallback:
         f = gaussian_source(g, amplitude=6e5, sigma=0.2, centre=(0.4, 0.35))
         _, _, _, report = chi_decoupled_solve(m, 256, f, PicardConfig())
         assert report.converged
-        assert report.outer_iterations <= 60  # 32
+        assert report.outer_iterations <= 60  # 30
 
-    def test_fires_on_a_warm_sweep_level(self):
+    def test_fires_on_a_warm_sweep_level(self, monkeypatch):
         g = make_grid(17, 17, 1.0, 1.0)
         f = gaussian_source(g, amplitude=1e4, sigma=0.1)
+        mixed = count_calls(monkeypatch, fixedpoint._anderson)
         entries = n_sweep(HP_UNIT, f, [4, 16], PicardConfig())
         assert all(e.report.converged for e in entries)
-        assert entries[1].report.outer_iterations >= 21  # 29
+        assert mixed  # 11 calls, all on level 16
+        assert entries[1].report.outer_iterations <= 20  # 13
 
     def test_mixing_converges_the_cold_chi_solve_without_loose_solves(self, monkeypatch):
         # with every inner solve tight, the damping of loose inner solves is
@@ -325,7 +325,7 @@ class TestRelaxationFallback:
         f = gaussian_source(g, amplitude=6e5, sigma=0.2, centre=(0.4, 0.35))
         _, _, _, report = chi_decoupled_solve(m, 256, f, PicardConfig())
         assert report.converged and report.clamp_count == 0
-        assert report.outer_iterations <= 60  # 23
+        assert report.outer_iterations <= 60  # 22
 
     def test_mixing_converges_the_slow_chi_sweep(self):
         # the benchmark's stalling chi sweep at its own load: with plain steps
@@ -334,7 +334,7 @@ class TestRelaxationFallback:
         f = gaussian_source(g, amplitude=1e5, sigma=0.1, centre=(0.47, 0.53))
         entries = n_sweep(HP_UNIT, f, [1, 4, 16, 64], PicardConfig(), route="chi")
         assert all(e.report.converged and e.report.clamp_count == 0 for e in entries)
-        assert entries[-1].report.outer_iterations <= 60  # 33
+        assert entries[-1].report.outer_iterations <= 60  # 38
 
 
 class TestAndersonStep:
@@ -350,11 +350,10 @@ class TestAndersonStep:
             k = g
         return pairs
 
-    @pytest.mark.parametrize("omega", [1.0, 0.5])
-    def test_lands_on_the_fixed_point(self, omega):
+    def test_lands_on_the_fixed_point(self):
         c = np.array([1.0, 2.0])
         fixed = np.linalg.solve(np.eye(2) - self.M, c)
-        mixed = fixedpoint._anderson(self.history(c, [0.0, 0.0]), omega)
+        mixed = fixedpoint._anderson(self.history(c, [0.0, 0.0]))
         assert mixed.shape == (1, 2)
         assert np.allclose(mixed.ravel(), fixed, rtol=1e-9)
 
@@ -364,7 +363,7 @@ class TestAndersonStep:
         assert np.linalg.solve(np.eye(2) - self.M, c)[1] < 0
         history = self.history(c, [100.0, 100.0])
         assert all(k.min() >= 0 for k, _ in history)
-        assert fixedpoint._anderson(history, 1.0) is None
+        assert fixedpoint._anderson(history) is None
 
 
 class TestChiRoute:
@@ -804,18 +803,18 @@ class TestForcingCarriedOver:
 
     def test_tight_start_after_an_unconverged_level(self, monkeypatch):
         # at amplitude 1e3, level 2 converges in 11 outer iterations and
-        # level 4 needs 27 from it
+        # level 64 needs 13 from it
         g = make_grid(33, 33, 1.0, 1.0)
         f = gaussian_source(g, amplitude=1e3, sigma=0.1, centre=(0.47, 0.53))
-        cfg = PicardConfig(max_outer=11)
+        cfg = PicardConfig(max_outer=12)
         solves = record_inner_solves(monkeypatch)
-        entries = n_sweep(HP_UNIT, f, [2, 4, 16], cfg)
+        entries = n_sweep(HP_UNIT, f, [2, 64, 256], cfg)
         assert entries[0].report.converged and not entries[1].report.converged
         # an unconverged level makes no u re-solve: u and k per outer iteration
-        level16 = solves[2 * entries[0].report.outer_iterations + 1 + 2 * cfg.max_outer:]
-        assert entries[2].report.outer_iterations >= 2 and all(certified(r) for r in level16[:4])
+        level256 = solves[2 * entries[0].report.outer_iterations + 1 + 2 * cfg.max_outer:]
+        assert entries[2].report.outer_iterations >= 2 and all(certified(r) for r in level256[:4])
         # as a level with nothing carried, bit for bit
-        u, k, ref = picard_solve(HP_UNIT, 16, f, cfg, u0=entries[1].u, k0=entries[1].k)
+        u, k, ref = picard_solve(HP_UNIT, 256, f, cfg, u0=entries[1].u, k0=entries[1].k)
         assert entries[2].report == ref
         assert np.array_equal(entries[2].u.values, u.values)
         assert np.array_equal(entries[2].k.values, k.values)

@@ -20,7 +20,7 @@ def test_ten_cases_converge_and_print_one_line(capsys):
     assert len(lines) == 1 and lines[0].startswith("seed 7 cases 10: levels 22 outer ")
     result = probe.run(7, 10)
     assert result["levels"] == 22  # drawn by random.Random(7) alone
-    assert result["outer"] > 0 and result["cg"] > 0
+    assert result["outer"] > 0 and result["cg"] > 0 and result["anderson"] > 0
     assert result["unconverged"] == result["clamps"] == result["errors"] == 0
     assert len(result["slowest"]) == 3
     assert lines[0] == probe.line(result)
@@ -28,6 +28,7 @@ def test_ten_cases_converge_and_print_one_line(capsys):
 
 def test_the_cg_counter_is_removed_after_a_run():
     probe = load_probe()
-    solve = probe.fixedpoint.solve_spd
+    solve, anderson = probe.fixedpoint.solve_spd, probe.fixedpoint._anderson
     probe.run(7, 1)
     assert probe.fixedpoint.solve_spd is solve
+    assert probe.fixedpoint._anderson is anderson

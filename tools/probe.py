@@ -13,12 +13,13 @@ centre in [0.3, 0.7]^2 and sigma in [0.05, 0.2]; and 1 to 3 levels from
 {1, 4, 16, 64, 256}.  delta is the smaller of nu1 and a1, and the solver
 runs on the default ``PicardConfig``.
 
-One line per seed: levels, outer iterations, CG iterations, unconverged
-levels, clamped cells, cases that raised, and the three slowest levels:
-those with the most outer iterations, each with its case number, route
-and n.  Run it with OPENBLAS_NUM_THREADS=1 to compare counts between
-commits: the last bits of a BLAS sum may depend on its thread count.
-The whole default probe takes about 10 s on one core.
+One line per seed: levels, outer iterations, CG iterations, Anderson
+steps (calls of ``fixedpoint._anderson``, a refused mixed iterate
+included), unconverged levels, clamped cells, cases that raised, and the
+three slowest levels: those with the most outer iterations, each with its
+case number, route and n.  Run it with OPENBLAS_NUM_THREADS=1 to compare
+counts between commits: the last bits of a BLAS sum may depend on its
+thread count.  The whole default probe takes about 13 s on one core.
 """
 
 import argparse
@@ -63,29 +64,36 @@ def draw_case(rng: random.Random):
 
 
 @contextlib.contextmanager
-def counting_cg():
-    """Count the CG iterations of every inner solve of the Picard driver; yields a one-entry list."""
-    solve = fixedpoint.solve_spd
-    total = [0]
+def counting():
+    """Count the CG iterations of every inner solve of the Picard driver, and its Anderson steps.
 
-    def counted(*args, **kwargs):
+    Yields a dict whose ``cg`` and ``anderson`` totals grow while the block runs.
+    """
+    solve, anderson = fixedpoint.solve_spd, fixedpoint._anderson
+    totals = dict(cg=0, anderson=0)
+
+    def counted_solve(*args, **kwargs):
         x, report = solve(*args, **kwargs)
-        total[0] += report.iterations
+        totals["cg"] += report.iterations
         return x, report
 
-    fixedpoint.solve_spd = counted
+    def counted_anderson(history):
+        totals["anderson"] += 1
+        return anderson(history)
+
+    fixedpoint.solve_spd, fixedpoint._anderson = counted_solve, counted_anderson
     try:
-        yield total
+        yield totals
     finally:
-        fixedpoint.solve_spd = solve
+        fixedpoint.solve_spd, fixedpoint._anderson = solve, anderson
 
 
 def run(seed: int, cases: int) -> dict:
     """The probe's totals over ``cases`` cases drawn from ``random.Random(seed)``."""
     rng = random.Random(seed)
-    out = dict(seed=seed, cases=cases, levels=0, outer=0, cg=0, unconverged=0, clamps=0, errors=0)
+    out = dict(seed=seed, cases=cases, levels=0, outer=0, unconverged=0, clamps=0, errors=0)
     slowest = []  # (outer iterations, case, route, n)
-    with counting_cg() as cg:
+    with counting() as totals:
         for case in range(cases):
             m, f, levels, route = draw_case(rng)
             try:
@@ -100,15 +108,15 @@ def run(seed: int, cases: int) -> dict:
                 out["unconverged"] += not r.converged
                 out["clamps"] += r.clamp_count
                 slowest.append((r.outer_iterations, case, route, r.n))
-        out["cg"] = cg[0]
+    out.update(totals)
     slowest.sort(key=lambda s: (-s[0], s[1], s[3]))
     out["slowest"] = [f"{outer} (case {case}, {route}, n={n})" for outer, case, route, n in slowest[:3]]
     return out
 
 
 def line(result: dict) -> str:
-    return ("seed {seed} cases {cases}: levels {levels} outer {outer} cg {cg} unconverged "
-            "{unconverged} clamps {clamps} errors {errors} slowest {slow}").format(
+    return ("seed {seed} cases {cases}: levels {levels} outer {outer} cg {cg} anderson {anderson} "
+            "unconverged {unconverged} clamps {clamps} errors {errors} slowest {slow}").format(
                 slow=", ".join(result["slowest"]), **result)
 
 
