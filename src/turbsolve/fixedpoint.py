@@ -142,7 +142,6 @@ class KStep(NamedTuple):
     field: ScalarField
     clamp_count: int
     report: LinearSolveReport
-    chi: Optional[ScalarField] = None  # the chi route's auxiliary unknown
 
 
 def dissipation_source(u: ScalarField, A: DiffusionOperator) -> ScalarField:
@@ -191,10 +190,12 @@ class FrozenCoefficients(NamedTuple):
     it.  On a proportional pair the direct and chi k-updates and the final
     report solve with and read A_nu too, since A(a_n) = gamma A_nu;
     otherwise the direct k-update and the report build A(a_n) from a_n
-    (see :func:`_k_operator`).
+    (see :func:`_k_operator`).  :func:`turbsolve.verify.full_report`
+    evaluates a pair on the same carrier, and reads nu_n as well.
     """
 
     A_nu: DiffusionOperator  # A(nu_n(k))
+    nu_n: ScalarField  # nu_n(k), the field A_nu is assembled from
     a_n: np.ndarray  # a_n(k), cellwise
     clipped: bool  # min(n, .) bound somewhere in nu_n or a_n
 
@@ -202,7 +203,8 @@ class FrozenCoefficients(NamedTuple):
 def _freeze(m: ViscosityModel, k: ScalarField, n: int) -> FrozenCoefficients:
     """The coefficients of level n frozen at k; a bad level or a negative cell of k raises here."""
     nu_n, a_n, clipped = truncated_coefficients(m, k.values, n)
-    return FrozenCoefficients(assemble(ScalarField(k.grid, nu_n)), a_n, clipped)
+    nu_n = ScalarField(k.grid, nu_n)
+    return FrozenCoefficients(assemble(nu_n), nu_n, a_n, clipped)
 
 
 def _k_operator(frozen: FrozenCoefficients, m: ViscosityModel) -> tuple[DiffusionOperator, float]:
@@ -300,7 +302,7 @@ def _chi_k_step(
     chi, report = solve_spd(op, ScalarField(u.grid, f.values * u.values / c), tol=inner_tol,
                             x0=ScalarField(u.grid, k_lag.values + half_u2), loose_tol=loose_tol)
     k_vals, clamp_count = _clamp(chi.values - half_u2)
-    return KStep(ScalarField(u.grid, k_vals), clamp_count, report, chi)
+    return KStep(ScalarField(u.grid, k_vals), clamp_count, report)
 
 
 def _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_count):
@@ -407,7 +409,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     to inner-solve accuracy.  Every inner solve starts from the current
     iterate, so one whose start already meets inner_tol costs a single
     matvec and no CG iteration, and a start whose residual overflows
-    float64 raises LinearSolveError.  Returns (u, k, report, last KStep).
+    float64 raises LinearSolveError.  Returns (u, k, report).
     """
     # used as given: nothing writes a start (solve_spd copies x0, and the loop rebinds u and k)
     u = u0 if u0 is not None else ScalarField.zeros(f.grid)
@@ -462,7 +464,7 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     report = _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_total)
     if carry is not None:
         carry.rho = _ratio(increment, prev_increment) if converged else 0.0
-    return u, k, report, kstep
+    return u, k, report
 
 
 def picard_solve(
@@ -488,8 +490,7 @@ def picard_solve(
     if k_update not in ("direct", "kirchhoff"):
         raise ValueError(f"unknown k_update {k_update!r}")
     step = solve_k_given_u if k_update == "direct" else kirchhoff_k_solve
-    u, k, report, _ = _picard(m, n, f, cfg, u0, k0, step, _carry)
-    return u, k, report
+    return _picard(m, n, f, cfg, u0, k0, step, _carry)
 
 
 def chi_decoupled_solve(
@@ -510,12 +511,12 @@ def chi_decoupled_solve(
     any solve otherwise.  At every gamma its fixed points coincide with
     the direct route's whenever the source cap min(n, D) binds nowhere.
     As on the other routes, u is re-solved at the final k on convergence;
-    the returned chi is the last iterate's.
+    the returned chi is k + u^2/(2 gamma) of the returned (u, k).
     """
     n = _check_level(n)  # an int level for the report
     check_route("chi", m)
-    u, k, report, kstep = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f), _carry)
-    return u, k, kstep.chi, report
+    u, k, report = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f), _carry)
+    return u, k, ScalarField(u.grid, k.values + 0.5 / m.gamma * u.values**2), report
 
 
 @dataclass

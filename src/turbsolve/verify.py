@@ -3,11 +3,14 @@
 Every check is a pure read-only function that reuses the solver's own
 discrete operators, so identities that are algebraic consequences of the
 discrete equations hold to inner-solve accuracy rather than to
-discretization accuracy.  :func:`full_report` evaluates the truncated
-coefficients nu_n(k), a_n(k) once and assembles A(nu_n) and A(a_n) once,
-and each estimate takes what it reads: ``idee_residual(u, f, A_nu)``,
-``sqrt_nu_seminorm(nu_n)``, ``lp_flux_norm(k, a_n, A_a, p)``.
-``energy_identity_residual(u, k, f, m, n)`` assembles its own A(nu_n).
+discretization accuracy.  :func:`full_report` and
+``energy_identity_residual(u, k, f, m, n)`` evaluate a pair on the
+solver's own carrier: the coefficients frozen at k by
+:func:`~turbsolve.fixedpoint._freeze`, and the pair (A, c) with
+A(a_n) = c A of :func:`~turbsolve.fixedpoint._k_operator`, so a
+proportional pair's dissipation is read off A(nu_n), as in the solver's
+report.  Each estimate takes what it reads: ``idee_residual(u, f, A_nu)``,
+``sqrt_nu_seminorm(nu_n)``, ``lp_flux_norm(k, a_n, (A, c), p)``.
 
 * energy identity: sum f u m  vs  the energy <A(nu_n(k)) u, u> m;
 * weak product identity: testing the u-equation with u*phi splits face by
@@ -32,10 +35,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .coeffs import ViscosityModel, truncated_coefficients
-from .fixedpoint import PicardConfig, picard_solve
+from .coeffs import ViscosityModel
+from .fixedpoint import PicardConfig, _freeze, _k_operator, picard_solve
 from .grid import Grid, ScalarField, integrate, linf_norm, make_grid
-from .linsolve import DiffusionOperator, _ldexp, assemble
+from .linsolve import DiffusionOperator, _ldexp
 
 ABS_FLOOR = 1e-14
 _FLUX_EXPONENT = 1.4  # the p < 3/2 at which full_report measures the flux bound
@@ -100,8 +103,7 @@ def energy_identity_residual(
     u: ScalarField, k: ScalarField, f: ScalarField, m: ViscosityModel, n: int
 ) -> float:
     """The energy-identity residual of (u, k) on A(nu_n(k)); see ``_energy_identity``."""
-    nu_n = ScalarField(k.grid, truncated_coefficients(m, k.values, n)[0])
-    return _energy_identity(u, f, assemble(nu_n))
+    return _energy_identity(u, f, _freeze(m, k, n).A_nu)
 
 
 def default_test_fields(grid: Grid) -> list[ScalarField]:
@@ -250,24 +252,29 @@ def holder_diagnostic(v: ScalarField) -> float:
     return min(slope, 1.0)
 
 
-def lp_flux_norm(k: ScalarField, a_n: ScalarField, A_a: DiffusionOperator, p: float) -> float:
-    """(integral |a_n grad k|^p)^(1/p) on faces, p < 3/2, with a_n = a_n(k) and A_a = A(a_n).
+def lp_flux_norm(
+    k: ScalarField, a_n: ScalarField, k_operator: tuple[DiffusionOperator, float], p: float
+) -> float:
+    """(integral |a_n grad k|^p)^(1/p) on faces, p < 3/2, with a_n = a_n(k).
 
-    Each face carries half its quadrature measure so the x- and y-face
-    families together tile the domain exactly once; with that measure the
-    Holder interpolation bound between exponents holds with the plain
-    domain measure.  An interior face of flat stencil weight w in A_a has
-    flux w h |dk|; a wall face has |2 a_n k / h| of its cell, read off the
+    ``k_operator`` is the pair (A, c) with A(a_n) = c A that
+    :func:`~turbsolve.fixedpoint._k_operator` returns.  Each face carries
+    half its quadrature measure so the x- and y-face families together
+    tile the domain exactly once; with that measure the Holder
+    interpolation bound between exponents holds with the plain domain
+    measure.  An interior face of flat stencil weight w in A has flux
+    c w h |dk|; a wall face has |2 a_n k / h| of its cell, read off the
     boundary rows of a_n, because wd merges a corner cell's x and y wall faces.
     """
     if not 1.0 <= p < 1.5:
         raise ValueError(f"the flux exponent must lie in [1, 3/2), got p = {p}")
     g = k.grid
+    A, c = k_operator
     kf = k.values.reshape(-1)
     interior = 0.0
-    for w, h in ((A_a.wx, g.hx), (A_a.wy, g.hy)):
+    for w, h in ((A.wx, g.hx), (A.wy, g.hy)):
         dk, _ = _kernels.face_differences(kf, w)
-        interior += float(np.sum(np.abs(w * h * dk) ** p))
+        interior += float(np.sum(np.abs(c * w * h * dk) ** p))
     wall = np.abs(a_n.values * k.values)  # the flux times h/2 on a wall face
     walls = (2.0 / g.hx) ** p * float(np.sum(wall[0, :] ** p) + np.sum(wall[-1, :] ** p))
     walls += (2.0 / g.hy) ** p * float(np.sum(wall[:, 0] ** p) + np.sum(wall[:, -1] ** p))
@@ -285,14 +292,17 @@ def full_report(
 ) -> InvariantReport:
     """Populate every certified estimate for one converged pair, for a load in L^r.
 
-    u, k and f must share one grid; a mismatch raises before any estimate runs.
+    u, k and f must share one grid; a mismatch raises before any estimate
+    runs.  The coefficients are frozen at k once and every estimate reads
+    them: the energy off A(nu_n) and the dissipation off c A, as the
+    solver's report reads them (see :func:`~turbsolve.fixedpoint._final_report`).
     """
     if not u.grid == k.grid == f.grid:
         raise ValueError("u, k and f live on different grids: " + ", ".join(
             f"{name} on {g.nx}x{g.ny} cells of {g.lx:g}x{g.ly:g}"
             for name, g in (("u", u.grid), ("k", k.grid), ("f", f.grid))))
-    nu_n, a_n = (ScalarField(k.grid, c) for c in truncated_coefficients(m, k.values, n)[:2])
-    A_nu, A_a = assemble(nu_n), assemble(a_n)
+    frozen = _freeze(m, k, n)
+    A, c = _k_operator(frozen, m)
     linf_u = linf_norm(u)
     s_top = linf_u * (1.0 + 1e-12)
     if s_top > 0:
@@ -302,15 +312,15 @@ def full_report(
     rho, beta = stampacchia_exponents(r)
     chi_linf = chi_bound_check(u, k, m.gamma) if m.gamma is not None else None
     return InvariantReport(
-        energy=A_nu.energy(u),
-        dissipation=A_a.energy(k),
-        lp_a_gradk=lp_flux_norm(k, a_n, A_a, _FLUX_EXPONENT),
+        energy=frozen.A_nu.energy(u),
+        dissipation=c * A.energy(k),
+        lp_a_gradk=lp_flux_norm(k, ScalarField(k.grid, frozen.a_n), (A, c), _FLUX_EXPONENT),
         lp_exponent=_FLUX_EXPONENT,
         linf_u=linf_u,
         linf_k=linf_norm(k),
-        energy_identity_rel_residual=_energy_identity(u, f, A_nu),
-        idee_max_residual=idee_residual(u, f, A_nu),
-        sqrt_nu_h1_seminorm=sqrt_nu_seminorm(nu_n),
+        energy_identity_rel_residual=_energy_identity(u, f, frozen.A_nu),
+        idee_max_residual=idee_residual(u, f, frozen.A_nu),
+        sqrt_nu_h1_seminorm=sqrt_nu_seminorm(frozen.nu_n),
         chi_linf=chi_linf,
         stampacchia_rho=rho,
         stampacchia_beta=beta,

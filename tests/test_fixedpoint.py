@@ -12,6 +12,7 @@ from turbsolve import (
     ScalarField,
     ViscosityModel,
     assemble,
+    chi_bound_check,
     chi_decoupled_solve,
     dissipation_source,
     energy_identity_residual,
@@ -389,7 +390,19 @@ class TestChiRoute:
         assert report.converged
         assert report.clamp_count == 0
         recon = k.values + 0.5 / gamma * u.values**2
-        assert np.max(np.abs(recon - chi.values)) <= 1e-14
+        assert np.array_equal(recon, chi.values)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
+    def test_returns_the_chi_of_its_pair(self, gamma):
+        # the chi of the returned (u, k), not that of the last iterate, which
+        # was 1.3e-12 away from it at gamma 1: u is re-solved at the final k
+        m = proportional_pair(gamma)
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
+        u, k, chi, report = chi_decoupled_solve(m, 8, f, PicardConfig())
+        assert report.converged
+        assert np.array_equal(chi.values, k.values + 0.5 / gamma * u.values**2)
+        assert chi_bound_check(u, k, gamma) == linf_norm(chi)
 
     def test_matches_direct_route(self):
         g = make_grid(33, 33, 1.0, 1.0)
@@ -587,6 +600,12 @@ class TestOneOperatorPerIterate:
         assert report.dissipation == weighted_energy(ScalarField(g, a_n), k)
 
 
+def proportional_pair(gamma, nu1=1.0):
+    """physical_sqrt with a = gamma nu = gamma (nu1 + sqrt(k))."""
+    return ViscosityModel(kind="physical_sqrt", nu1=nu1, nu2=1.0, a1=gamma * nu1, a2=gamma,
+                          gamma=gamma, delta=min(nu1, gamma * nu1))
+
+
 def hand_assembled_k_operator(frozen, m):
     """A(a_n) itself, assembled from the frozen a_n on every pair, and 1."""
     return assemble(ScalarField(frozen.A_nu.grid, frozen.a_n)), 1.0
@@ -603,8 +622,7 @@ class TestProportionalPairOnTheUOperator:
         # preconditioner's sqrt(1/gamma) included, so the two agree bit for
         # bit; at other gamma they agree to rounding (5e-16 measured)
         g = make_grid(17, 17, 1.0, 1.0)
-        m = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=gamma, a2=gamma,
-                           gamma=gamma, delta=min(1.0, gamma))
+        m = proportional_pair(gamma)
         f = gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
         builds = count_calls(monkeypatch, _kernels.stencil_weights)
         u, k, report = solve_level(route, m, 2, f, PicardConfig())
@@ -627,6 +645,21 @@ class TestProportionalPairOnTheUOperator:
         # differences near 1e-11 and residuals near 1e-13 keep only a few digits
         assert report.final_increment == pytest.approx(ref.final_increment, rel=0.0, abs=rtol)
         assert report.k_residual == pytest.approx(ref.k_residual, rel=0.0, abs=rtol)
+
+    @pytest.mark.parametrize("route", ["direct", "chi"])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
+    def test_report_energies_are_full_reports(self, route, gamma):
+        # full_report reads the solver's operators, so the two agree bit for
+        # bit; with an A(a_n) of its own, verify's dissipation was one
+        # rounding off the report's at gamma 3 on both routes
+        m = proportional_pair(gamma, nu1=2.0)
+        g = make_grid(17, 17, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=50.0, sigma=0.1, centre=(0.47, 0.53))
+        u, k, report = solve_level(route, m, 8, f, PicardConfig())
+        assert report.converged
+        certified = full_report(u, k, f, m, 8)
+        assert report.energy == certified.energy
+        assert report.dissipation == certified.dissipation
 
 
 class TestSweep:

@@ -24,6 +24,13 @@ def test_ten_cases_converge_and_print_one_line(capsys):
     assert result["unconverged"] == result["clamps"] == result["errors"] == 0
     assert len(result["slowest"]) == 3
     assert lines[0] == probe.line(result)
+    # the per-route totals add up to the totals, and the line prints them
+    routes = result["routes"]
+    assert list(routes) == list(probe.fixedpoint.ROUTES)
+    assert all(t["outer"] > 0 for t in routes.values())  # every route is drawn
+    assert sum(t["outer"] for t in routes.values()) == result["outer"]
+    assert sum(t["cg"] for t in routes.values()) == result["cg"]
+    assert " ".join(f"{r} outer {t['outer']} cg {t['cg']}" for r, t in routes.items()) in lines[0]
 
 
 def test_the_cg_counter_is_removed_after_a_run():

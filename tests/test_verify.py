@@ -33,6 +33,8 @@ from turbsolve.verify import default_test_fields, manufactured_forcing, manufact
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
 HP_UNIT = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=1.0,
                          gamma=1.0, delta=1.0)
+GAMMA_3 = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=3.0, a2=3.0,
+                         gamma=3.0, delta=1.0)
 SQRT_PAIR = ViscosityModel(kind="physical_sqrt", nu1=1.0, nu2=1.0, a1=1.0, a2=2.0, delta=1.0)
 TABLE = ViscosityModel(kind="table", delta=1.0, table_s=(0.0, 1.0, 4.0), table_nu=(1.0, 2.0, 3.0),
                        table_a=(1.0, 1.5, 2.0))
@@ -218,7 +220,15 @@ class TestFlatStencilMatchesFaceArrays:
         ref = face_lp_flux_norm(k, model, 3, p)
         assert ref > 1.0
         _, a_n, _, A_a = truncated(k, model, 3)
-        assert lp_flux_norm(k, a_n, A_a, p) == pytest.approx(ref, rel=1e-13)
+        assert lp_flux_norm(k, a_n, (A_a, 1.0), p) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 1.4])
+    def test_lp_flux_norm_on_the_u_operator(self, random_fields, p):
+        # a proportional pair hands over (A(nu_n), gamma), as the solver's k-equation reads it
+        u, k, f, phis = random_fields
+        _, a_n, A_nu, _ = truncated(k, GAMMA_3, 3)
+        ref = face_lp_flux_norm(k, GAMMA_3, 3, p)
+        assert lp_flux_norm(k, a_n, (A_nu, 3.0), p) == pytest.approx(ref, rel=1e-13)
 
 
 class TestLevelSets:
@@ -390,8 +400,8 @@ class TestFluxNorm:
     def test_holder_interpolation(self, coupled_run):
         g, f, u, k = coupled_run
         _, a_n, _, A_a = truncated(k, HP_UNIT, 32)
-        lo = lp_flux_norm(k, a_n, A_a, 1.2)
-        hi = lp_flux_norm(k, a_n, A_a, 1.4)
+        lo = lp_flux_norm(k, a_n, (A_a, 1.0), 1.2)
+        hi = lp_flux_norm(k, a_n, (A_a, 1.0), 1.4)
         bound = hi * g.area ** (1.0 / 1.2 - 1.0 / 1.4)
         assert lo <= bound * (1 + 1e-12)
 
@@ -399,7 +409,7 @@ class TestFluxNorm:
         g, f, u, k = coupled_run
         _, a_n, _, A_a = truncated(k, HP_UNIT, 32)
         with pytest.raises(ValueError):
-            lp_flux_norm(k, a_n, A_a, 1.5)
+            lp_flux_norm(k, a_n, (A_a, 1.0), 1.5)
 
 
 class TestFullReport:
@@ -424,8 +434,13 @@ class TestFullReport:
         monkeypatch.setattr("turbsolve._kernels.face_gradients", refuse)
         assert full_report(u, k, f, HP_UNIT, 32).to_dict() == expected
 
-    def test_one_coefficient_evaluation_and_two_stencils(self, random_fields, monkeypatch):
-        # nu_n(k) and a_n(k) are evaluated once and A(nu_n) and A(a_n) built once per report
+    @pytest.mark.parametrize("model, stencils", [(HP_UNIT, 1), (SQRT_PAIR, 2)],
+                             ids=["gamma", "sqrt"])
+    def test_one_coefficient_evaluation_per_report(self, random_fields, monkeypatch, model,
+                                                   stencils):
+        # nu_n(k) and a_n(k) are evaluated once per report, and the solver's
+        # operators built once: A(nu_n) on a proportional pair, whose
+        # A(a_n) = gamma A(nu_n), and A(nu_n) and A(a_n) otherwise
         u, k, f, _ = random_fields
         counts = {"nu": 0, "stencil_weights": 0}
 
@@ -439,8 +454,8 @@ class TestFullReport:
 
         counting(ViscosityModel, "nu")
         counting(_kernels, "stencil_weights")
-        full_report(u, k, f, HP_UNIT, 3)
-        assert counts == {"nu": 1, "stencil_weights": 2}
+        full_report(u, k, f, model, 3)
+        assert counts == {"nu": 1, "stencil_weights": stencils}
 
     @pytest.mark.parametrize("model", [HP_UNIT, SQRT_PAIR, TABLE], ids=["gamma", "sqrt", "table"])
     def test_fields_equal_the_standalone_estimates(self, random_fields, model):
@@ -453,7 +468,7 @@ class TestFullReport:
         assert report.energy_identity_rel_residual == energy_identity_residual(u, k, f, model, 3)
         assert report.idee_max_residual == idee_residual(u, f, A_nu)
         assert report.sqrt_nu_h1_seminorm == sqrt_nu_seminorm(nu_n)
-        assert report.lp_a_gradk == lp_flux_norm(k, a_n, A_a, report.lp_exponent)
+        assert report.lp_a_gradk == lp_flux_norm(k, a_n, (A_a, 1.0), report.lp_exponent)
         assert min(report.energy_identity_rel_residual, report.idee_max_residual) > 1e-3
 
     def test_zero_data(self):

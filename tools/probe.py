@@ -15,9 +15,11 @@ runs on the default ``PicardConfig``.
 
 One line per seed: levels, outer iterations, CG iterations, Anderson
 steps (calls of ``fixedpoint._anderson``, a refused mixed iterate
-included), unconverged levels, clamped cells, cases that raised, and the
-three slowest levels: those with the most outer iterations, each with its
-case number, route and n.  Run it with OPENBLAS_NUM_THREADS=1 to compare
+included), unconverged levels, clamped cells, cases that raised, the
+outer and CG iterations of each route (which add up to the totals; a
+case that raised adds its CG iterations only), and the three slowest
+levels: those with the most outer iterations, each with its case number,
+route and n.  Run it with OPENBLAS_NUM_THREADS=1 to compare
 counts between commits: the last bits of a BLAS sum may depend on its
 thread count.  The whole default probe takes about 13 s on one core.
 """
@@ -92,32 +94,40 @@ def run(seed: int, cases: int) -> dict:
     """The probe's totals over ``cases`` cases drawn from ``random.Random(seed)``."""
     rng = random.Random(seed)
     out = dict(seed=seed, cases=cases, levels=0, outer=0, unconverged=0, clamps=0, errors=0)
+    per_route = {route: dict(outer=0, cg=0) for route in fixedpoint.ROUTES}
     slowest = []  # (outer iterations, case, route, n)
     with counting() as totals:
         for case in range(cases):
             m, f, levels, route = draw_case(rng)
+            cg_before = totals["cg"]
             try:
                 entries = n_sweep(m, f, levels, PicardConfig(), route=route)
             except (ArithmeticError, ValueError, RuntimeError):
                 out["errors"] += 1
                 continue
+            finally:
+                per_route[route]["cg"] += totals["cg"] - cg_before
             for e in entries:
                 r = e.report
                 out["levels"] += 1
                 out["outer"] += r.outer_iterations
+                per_route[route]["outer"] += r.outer_iterations
                 out["unconverged"] += not r.converged
                 out["clamps"] += r.clamp_count
                 slowest.append((r.outer_iterations, case, route, r.n))
     out.update(totals)
+    out["routes"] = per_route
     slowest.sort(key=lambda s: (-s[0], s[1], s[3]))
     out["slowest"] = [f"{outer} (case {case}, {route}, n={n})" for outer, case, route, n in slowest[:3]]
     return out
 
 
 def line(result: dict) -> str:
+    per_route = " ".join(f"{route} outer {t['outer']} cg {t['cg']}"
+                         for route, t in result["routes"].items())
     return ("seed {seed} cases {cases}: levels {levels} outer {outer} cg {cg} anderson {anderson} "
-            "unconverged {unconverged} clamps {clamps} errors {errors} slowest {slow}").format(
-                slow=", ".join(result["slowest"]), **result)
+            "unconverged {unconverged} clamps {clamps} errors {errors} {per_route} slowest {slow}").format(
+                per_route=per_route, slow=", ".join(result["slowest"]), **result)
 
 
 def main(argv=None) -> int:
