@@ -48,7 +48,9 @@ iteration whose inner solves all certify: each met the full inner
 tolerance or stopped at its rounding floor (see
 :func:`~turbsolve.linsolve.solve_spd`).  The prediction rests on the
 measured contraction ratio; a sweep level starts from the ratio that the
-level before it measured last.
+level before it measured last, or from the bound 1 where that level's
+first step landed exactly on its fixed point.  A converged pair's u is
+re-solved at the final k unless that solve would only replay the last one.
 Three k-updates are offered:
 ``direct`` (solve the k-equation with frozen coefficient), ``kirchhoff``
 (solve -Lap K = source for K = A(k), then map back through A_inv), and
@@ -99,7 +101,8 @@ class PicardConfig:
     outer iteration that converges and of the final u re-solve, and those
     of the first two, except on a sweep level after one that converged in
     two or more iterations, which starts from that level's last
-    contraction ratio.  The others stop earlier (see ``_picard``).
+    contraction ratio (1 where its increment ended at exactly 0 in its
+    second iteration).  The others stop earlier (see ``_picard``).
     """
 
     tol: float = 1e-10
@@ -366,8 +369,13 @@ class _Carry:
 
     rho is increment / prev_increment of the iteration that converged the
     level, and 0 after a level that ran one iteration or did not converge;
-    0 also starts a sweep.  The next level, warm-started from this one,
-    runs its first inner solves to FORCING * rho (see ``_picard``).
+    0 also starts a sweep.  A level that converged in its second iteration
+    with an increment of exactly 0 hands on 1, the bound ``_ratio`` gives
+    where nothing contracted: its first step landed on its fixed point and
+    measured no contraction (at n = 1, nu_1 = a_1 = 1 on a pair with
+    nu1 = a1 = 1, and the map is constant).  A zero increment at the third
+    iteration or later hands on 0.  The next level, warm-started from this
+    one, runs its first inner solves to FORCING * rho (see ``_picard``).
     """
 
     def __init__(self):
@@ -386,14 +394,16 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     relative increment max(|du|/|u|, |dk|/|k|), a tenth of the predicted
     next one (never below inner_tol).  The first iteration measures no
     ratio.  A sweep level warm-started from a level that converged in two
-    or more iterations takes that level's last ratio instead (``carry``,
-    see :class:`_Carry`): its first inner solves stop at FORCING * rho, and
-    its second at FORCING * rho * min(1, rel).  Otherwise the first two
-    iterations run to inner_tol.  So does the one after a small increment
-    that a loose solve produced.  The plain step is k <- G(k), G the
-    k-update ``k_step``, and the k increment is the Picard residual
-    |G(k) - k|_inf on every iteration, so a short mixed step cannot end a
-    level.
+    or more iterations takes the ratio that level handed on instead
+    (``carry``, see :class:`_Carry`): its first inner solves stop at
+    FORCING * rho, and its second at FORCING * rho * min(1, rel).  After a
+    level whose second iteration converged with an increment of exactly 0
+    that ratio is 1, so the first inner solves stop at FORCING itself.
+    Otherwise the first two iterations run to inner_tol.  So does the one
+    after a small increment that a loose solve produced.  The plain step is
+    k <- G(k), G the k-update ``k_step``, and the k increment is the Picard
+    residual |G(k) - k|_inf on every iteration, so a short mixed step
+    cannot end a level.
 
     The first iteration whose increment exceeds SLOW_CONTRACTION = 0.5
     times the previous one (the second at the earliest) switches Anderson
@@ -404,12 +414,20 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     history is cleared.  No level of the direct 129^2 sweep or the
     Kirchhoff 129^2 solve at amplitude 50 mixes.
 
-    On convergence u
-    is re-solved once at the final k, so the pair satisfies the u-equation
-    to inner-solve accuracy.  Every inner solve starts from the current
-    iterate, so one whose start already meets inner_tol costs a single
-    matvec and no CG iteration, and a start whose residual overflows
-    float64 raises LinearSolveError.  Returns (u, k, report).
+    On convergence u is re-solved once at the final k, so the pair
+    satisfies the u-equation to inner-solve accuracy.  The re-solve is
+    skipped where the converging iteration left k unchanged bit for bit
+    (compared through ``.view(np.uint64)``, so -0.0 != 0.0) and its u-solve
+    met inner_tol, not only the floor rule.  The re-solve would then see
+    the same coefficients, operator and start, take no CG iteration and
+    return the same u, so the iteration's u and frozen coefficients are
+    kept and the outputs are the same bit for bit.  On the kirchhoff and
+    chi routes k passes through a map back (A_inv(A(k)), chi - u^2/(2
+    gamma)) that in practice moves its last bits, so there the re-solve
+    runs.  Every inner solve starts from the current iterate, so one whose
+    start already meets inner_tol costs a single matvec and no CG
+    iteration, and a start whose residual overflows float64 raises
+    LinearSolveError.  Returns (u, k, report).
     """
     # used as given: nothing writes a start (solve_spd copies x0, and the loop rebinds u and k)
     u = u0 if u0 is not None else ScalarField.zeros(f.grid)
@@ -421,7 +439,6 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     prev_increment = float("inf")
     carried = carry.rho if carry is not None else 0.0
     loose_tol = FORCING * carried  # stop target of the next inner solves; 0 runs them to inner_tol
-    converged = False
 
     for iterations in range(1, cfg.max_outer + 1):
         u_new, u_solve, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u,
@@ -446,9 +463,12 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
         k_new = ScalarField(k.grid, k_vals)
         certified = all(r.relative_residual <= cfg.inner_tol or r.at_floor
                         for r in (u_solve, kstep.report))
+        converged = increment <= cfg.tol and certified
+        # k kept bit for bit and u at inner_tol on its operator: the final re-solve would replay u_new
+        replay = converged and u_solve.relative_residual <= cfg.inner_tol and np.array_equal(
+            k_vals.view(np.uint64), k.values.view(np.uint64))
         u, k = u_new, k_new
-        if increment <= cfg.tol and certified:
-            converged = True
+        if converged:
             break
         # the first iteration measures no ratio: the second takes the one handed on
         rho = _ratio(increment, prev_increment) if iterations > 1 else carried
@@ -457,13 +477,18 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
         prev_increment = increment
 
     # the final k's coefficients, evaluated once: the re-solve and the report share them
-    if converged:
-        u, _, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
-    else:
+    if not converged:
         frozen = _freeze(m, k, n)
+    elif not replay:
+        u, _, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
     report = _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_total)
     if carry is not None:
-        carry.rho = _ratio(increment, prev_increment) if converged else 0.0
+        if not converged:
+            carry.rho = 0.0
+        elif iterations == 2 and increment == 0.0:
+            carry.rho = 1.0  # the first step landed on the fixed point: no contraction measured
+        else:
+            carry.rho = _ratio(increment, prev_increment)
     return u, k, report
 
 
@@ -565,9 +590,12 @@ def n_sweep(
     Individual non-convergences are recorded in the per-level reports and
     the sweep continues; consecutive-level solution differences land in
     the entries.  Once no truncation is active the discrete problems
-    coincide, so the differences collapse to iteration noise.  Each level
-    also hands the next the contraction ratio it measured last, through
-    the private ``_carry`` of :func:`picard_solve` and
+    coincide, so the differences collapse to iteration noise, and a tail
+    level typically converges in one outer iteration that keeps k bit for
+    bit and so makes no u re-solve.  Each level also hands the next the
+    contraction ratio it measured last (1 after a level whose first step
+    landed exactly on its fixed point, as n = 1 does for nu1 = a1 = 1),
+    through the private ``_carry`` of :func:`picard_solve` and
     :func:`chi_decoupled_solve` (see :class:`_Carry`): every level stays
     one call of a public level solve, which the benchmark's tracer times.
     """

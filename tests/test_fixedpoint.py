@@ -783,7 +783,9 @@ def certified(report) -> bool:
 class TestForcingCarriedOver:
     """A warm sweep level starts its inner solves at FORCING * rho, rho the last
     contraction ratio that the level before measured, if that level converged
-    in two or more outer iterations; otherwise it starts at inner_tol."""
+    in two or more outer iterations; rho is 1 after a level whose second
+    iteration converged with an increment of exactly 0.  Otherwise the level
+    starts at inner_tol."""
 
     def setup_sweep(self):
         g = make_grid(33, 33, 1.0, 1.0)
@@ -812,6 +814,49 @@ class TestForcingCarriedOver:
         # 29 against 42 CG iterations, 13 against 14 outer iterations
         assert sum(r.iterations for r in level4) < sum(r.iterations for r in solves)
         assert entries[1].report.outer_iterations <= tight.outer_iterations
+
+    def test_loose_start_after_an_exactly_solved_level(self, monkeypatch):
+        f = self.setup_sweep()
+        cfg = PicardConfig()
+        carry = fixedpoint._Carry()
+        u1, k1, level1 = picard_solve(HP_UNIT, 1, f, cfg, _carry=carry)
+        # nu_1 = a_1 = 1: the first step lands on the fixed point, and measures no contraction
+        assert level1.converged and level1.outer_iterations == 2 and level1.final_increment == 0.0
+        assert carry.rho == 1.0
+        solves = record_inner_solves(monkeypatch)
+        _, _, level2 = picard_solve(HP_UNIT, 2, f, cfg, u0=u1, k0=k1, _carry=carry)
+        assert level2.converged
+        u_solve, k_solve = solves[:2]
+        assert INNER_TOL < u_solve.relative_residual <= fixedpoint.FORCING
+        assert INNER_TOL < k_solve.relative_residual <= fixedpoint.FORCING
+        carried_cg = sum(r.iterations for r in solves)
+        solves.clear()
+        _, _, tight = picard_solve(HP_UNIT, 2, f, cfg, u0=u1, k0=k1)
+        # 25 against 44 CG iterations, 11 outer iterations each
+        assert carried_cg < sum(r.iterations for r in solves)
+        assert level2.outer_iterations <= tight.outer_iterations
+
+    def test_no_u_re_solve_where_k_stays_bit_for_bit(self, monkeypatch):
+        f = self.setup_sweep()
+        cfg = PicardConfig()
+        solves = record_inner_solves(monkeypatch)
+        n_sweep(HP_UNIT, f, [2, 4, 8], cfg)
+        before = len(solves)
+        solves.clear()
+        entries = n_sweep(HP_UNIT, f, [2, 4, 8, 16], cfg)
+        level16 = solves[before:]
+        report = entries[-1].report
+        # one outer iteration whose k-solve starts on its solution: k is kept bit for bit
+        assert report.converged and report.outer_iterations == 1 and level16[-1].iterations == 0
+        assert len(level16) == 2 * report.outer_iterations  # u and k, and no u re-solve
+        u, k = entries[-1].u, entries[-1].k
+        # the skipped re-solve would only have replayed the certified u-solve
+        u_re, re_solve, frozen = solve_u_given_k(k, HP_UNIT, 16, f, u0=u)
+        assert re_solve.iterations == 0
+        assert np.array_equal(u_re.values.view(np.uint64), u.values.view(np.uint64))
+        assert report == fixedpoint._final_report(16, u_re, k, frozen, HP_UNIT, report.outer_iterations,
+                                                  report.converged, report.final_increment,
+                                                  report.clamp_count)
 
     def test_tight_start_after_a_one_iteration_level(self, monkeypatch):
         f = self.setup_sweep()

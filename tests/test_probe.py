@@ -39,3 +39,21 @@ def test_the_cg_counter_is_removed_after_a_run():
     probe.run(7, 1)
     assert probe.fixedpoint.solve_spd is solve
     assert probe.fixedpoint._anderson is anderson
+
+
+def test_levels_file_has_one_line_per_level(tmp_path, capsys):
+    probe = load_probe()
+    path = tmp_path / "levels.tsv"
+    assert probe.main(["--seed", "7", "--cases", "10", "--levels", str(path)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    result = probe.run(7, 10)
+    assert summary == [probe.line(result)]  # the summary line is unchanged by --levels
+    rows = [row.split("\t") for row in path.read_text().splitlines()]
+    assert len(rows) == result["levels"] == 22
+    assert all(len(row) == 5 and row[0] == "7" for row in rows)
+    assert sum(int(row[4]) for row in rows) == result["outer"]
+    for route, totals in result["routes"].items():
+        assert sum(int(row[4]) for row in rows if row[2] == route) == totals["outer"]
+    # every case's levels ascend, and the file names each level once
+    keys = [(int(row[1]), int(row[3])) for row in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)

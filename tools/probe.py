@@ -2,6 +2,7 @@
 
     python3 tools/probe.py                       # seeds 7, 11 and 12: 300, 400 and 400 cases
     python3 tools/probe.py --seed 7 --cases 10   # one seed
+    python3 tools/probe.py --levels levels.tsv   # and one line per level to a file
 
 Each case draws, from ``random.Random(seed)`` and in this order: a grid
 from {9, 13, 17, 25, 33}^2 on the unit square; a ``physical_sqrt`` model
@@ -19,9 +20,12 @@ included), unconverged levels, clamped cells, cases that raised, the
 outer and CG iterations of each route (which add up to the totals; a
 case that raised adds its CG iterations only), and the three slowest
 levels: those with the most outer iterations, each with its case number,
-route and n.  Run it with OPENBLAS_NUM_THREADS=1 to compare
-counts between commits: the last bits of a BLAS sum may depend on its
-thread count.  The whole default probe takes about 13 s on one core.
+route and n.  With ``--levels PATH`` it also writes one tab-separated
+line per level, ``seed case route n outer``, so that two commits can be
+compared level by level with ``join``.  Run it with
+OPENBLAS_NUM_THREADS=1 to compare counts between commits: the last bits
+of a BLAS sum may depend on its thread count.  The whole default probe
+takes about 13 s on one core.
 """
 
 import argparse
@@ -95,7 +99,7 @@ def run(seed: int, cases: int) -> dict:
     rng = random.Random(seed)
     out = dict(seed=seed, cases=cases, levels=0, outer=0, unconverged=0, clamps=0, errors=0)
     per_route = {route: dict(outer=0, cg=0) for route in fixedpoint.ROUTES}
-    slowest = []  # (outer iterations, case, route, n)
+    per_level = []  # (case, route, n, outer iterations), in sweep order
     with counting() as totals:
         for case in range(cases):
             m, f, levels, route = draw_case(rng)
@@ -114,11 +118,12 @@ def run(seed: int, cases: int) -> dict:
                 per_route[route]["outer"] += r.outer_iterations
                 out["unconverged"] += not r.converged
                 out["clamps"] += r.clamp_count
-                slowest.append((r.outer_iterations, case, route, r.n))
+                per_level.append((case, route, r.n, r.outer_iterations))
     out.update(totals)
     out["routes"] = per_route
-    slowest.sort(key=lambda s: (-s[0], s[1], s[3]))
-    out["slowest"] = [f"{outer} (case {case}, {route}, n={n})" for outer, case, route, n in slowest[:3]]
+    out["per_level"] = per_level
+    slowest = sorted(per_level, key=lambda s: (-s[3], s[0], s[2]))
+    out["slowest"] = [f"{outer} (case {case}, {route}, n={n})" for case, route, n, outer in slowest[:3]]
     return out
 
 
@@ -134,13 +139,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, help="run one seed (default: 7, 11 and 12)")
     parser.add_argument("--cases", type=int, help="cases of that seed (default: 300 at 7, 400 otherwise)")
+    parser.add_argument("--levels", type=Path, metavar="PATH",
+                        help="write one tab-separated line per level: seed case route n outer")
     args = parser.parse_args(argv)
     runs = DEFAULT_RUNS
     if args.seed is not None or args.cases is not None:
         seed = 7 if args.seed is None else args.seed
         runs = ((seed, args.cases if args.cases is not None else dict(DEFAULT_RUNS).get(seed, 400)),)
+    rows = []
     for seed, cases in runs:
-        print(line(run(seed, cases)), flush=True)
+        result = run(seed, cases)
+        print(line(result), flush=True)
+        rows += ["\t".join(map(str, (seed, *level))) + "\n" for level in result["per_level"]]
+    if args.levels is not None:
+        args.levels.write_text("".join(rows))
     return 0
 
 
