@@ -7,8 +7,11 @@ couples p and p + 1 across an interior y-face (zero where p + 1 starts a
 new row), and ``wd`` is the diagonal of the wall faces.  The matvec, the
 dissipation density and the energy read the same weights, on contiguous
 1-D slices only, so the energy identity and the substitution identity
-A(c)(u^2/2) = u A(c)u - D(u, c) hold algebraically.  So do the
-verification layer's face quadratures, through :func:`face_differences`.
+A(c)(u^2/2) = u A(c)u - D(u, c) hold algebraically.  The verification
+layer reads the same kernels: the weak product identity through D and
+the matvec, the seminorm of sqrt(nu_n) through the energy on A(1)'s
+interior weights.  Only its flux norm, a sum of p-th powers, takes
+:func:`face_differences` itself.
 """
 
 import numpy as np

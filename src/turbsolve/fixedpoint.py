@@ -131,7 +131,7 @@ class SolveReport:
     dissipation: float  # integral a_n(k) |grad k|^2
     linf_u: float
     linf_k: float
-    truncation_active: bool  # min(n, .) clipped something in the final iterate
+    truncation_active: bool  # a cap of the route's own problem bound at the returned pair
     clamp_count: int  # negative k cells zeroed across the run (expected 0)
     k_residual: float  # relative residual of the un-lagged k-equation
 
@@ -308,13 +308,18 @@ def _chi_k_step(
     return KStep(ScalarField(u.grid, k_vals), clamp_count, report)
 
 
-def _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_count):
+def _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_count,
+                  source_capped=True):
     """The report of the pair (u, k), from the coefficients frozen at k.
 
     The source and the energy come from its A(nu_n), the k-residual and the
     dissipation from A(a_n) = c A of :func:`_k_operator`: c A(nu_n) itself
     on a proportional pair, A(a_n) built here once otherwise.  Each energy
-    is read off its operator.
+    is read off its operator.  ``truncation_active`` counts the caps of the
+    route's own problem: min(n, .) of nu_n and a_n, and the source cap
+    min(n, D) only where ``source_capped``.  The chi route solves
+    A(a_n) chi = f u, which caps no source; its k_residual still measures
+    the capped k-equation of the direct route.
     """
     A_a, c = _k_operator(frozen, m)
     source, src_clip = _truncated_source(u, frozen.A_nu, n)
@@ -329,7 +334,7 @@ def _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_co
         dissipation=c * A_a.energy(k),
         linf_u=linf_norm(u),
         linf_k=linf_norm(k),
-        truncation_active=bool(frozen.clipped or src_clip),
+        truncation_active=bool(frozen.clipped or (source_capped and src_clip)),
         clamp_count=clamp_count,
         k_residual=k_residual,
     )
@@ -382,7 +387,7 @@ class _Carry:
         self.rho = 0.0
 
 
-def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
+def _picard(m, n, f, cfg, u0, k0, k_step, carry=None, source_capped=True):
     """Picard iteration alternating the u-solve and ``k_step``.
 
     Stops when max(|du|_inf, |dk|_inf) <= tol in an iteration whose inner
@@ -427,7 +432,9 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
     runs.  Every inner solve starts from the current iterate, so one whose
     start already meets inner_tol costs a single matvec and no CG
     iteration, and a start whose residual overflows float64 raises
-    LinearSolveError.  Returns (u, k, report).
+    LinearSolveError.  ``source_capped`` says whether ``k_step``'s problem
+    caps its source (not on the chi route); the report's
+    ``truncation_active`` reads it.  Returns (u, k, report).
     """
     # used as given: nothing writes a start (solve_spd copies x0, and the loop rebinds u and k)
     u = u0 if u0 is not None else ScalarField.zeros(f.grid)
@@ -481,7 +488,8 @@ def _picard(m, n, f, cfg, u0, k0, k_step, carry=None):
         frozen = _freeze(m, k, n)
     elif not replay:
         u, _, frozen = solve_u_given_k(k, m, n, f, inner_tol=cfg.inner_tol, u0=u)
-    report = _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_total)
+    report = _final_report(n, u, k, frozen, m, iterations, converged, increment, clamp_total,
+                           source_capped)
     if carry is not None:
         if not converged:
             carry.rho = 0.0
@@ -535,12 +543,16 @@ def chi_decoupled_solve(
     Requires gamma set (a = gamma * nu): ``check_route`` raises H2 before
     any solve otherwise.  At every gamma its fixed points coincide with
     the direct route's whenever the source cap min(n, D) binds nowhere.
+    The route caps no source, so its report's ``truncation_active`` counts
+    only the caps of nu_n and a_n: a level where they bind nowhere has
+    solved the untruncated pair.
     As on the other routes, u is re-solved at the final k on convergence;
     the returned chi is k + u^2/(2 gamma) of the returned (u, k).
     """
     n = _check_level(n)  # an int level for the report
     check_route("chi", m)
-    u, k, report = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f), _carry)
+    u, k, report = _picard(m, n, f, cfg, u0, k0, partial(_chi_k_step, f), _carry,
+                           source_capped=False)
     return u, k, ScalarField(u.grid, k.values + 0.5 / m.gamma * u.values**2), report
 
 

@@ -61,11 +61,13 @@ class Grid:
     def shape(self) -> tuple:
         return (self.nx, self.ny)
 
+    def cell_axes(self):
+        """The 1-D cell-center coordinates (xs, ys), of lengths nx and ny."""
+        return (np.arange(self.nx) + 0.5) * self.hx, (np.arange(self.ny) + 0.5) * self.hy
+
     def cell_centers(self):
         """Meshgrid (X, Y) of cell centers, ij indexing, shape (nx, ny)."""
-        xs = (np.arange(self.nx) + 0.5) * self.hx
-        ys = (np.arange(self.ny) + 0.5) * self.hy
-        return np.meshgrid(xs, ys, indexing="ij")
+        return np.meshgrid(*self.cell_axes(), indexing="ij")
 
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:

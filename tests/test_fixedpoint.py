@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -423,6 +424,20 @@ class TestChiRoute:
         assert report.converged
         assert energy_identity_residual(u, k, f, HP_UNIT, 32) <= 1e-13
 
+    def test_unclipped_levels_solve_the_untruncated_pair(self):
+        # the chi route caps no source: where nu_n clips nowhere, its level
+        # solves the untruncated pair, which a direct solve at n = 2^40 reaches
+        g = make_grid(33, 33, 1.0, 1.0)
+        f = gaussian_source(g, amplitude=1e5, sigma=0.1, centre=(0.47, 0.53))
+        cfg = PicardConfig(tol=1e-10)
+        entries = n_sweep(HP_UNIT, f, [1, 4, 16, 64, 256], cfg, route="chi")
+        assert all(e.report.converged for e in entries)
+        assert [e.report.truncation_active for e in entries] == [True, True, True, False, False]
+        u, k, free = picard_solve(HP_UNIT, 2**40, f, cfg)
+        assert free.converged and not free.truncation_active
+        for e in entries[3:]:
+            assert np.max(np.abs(e.u.values - u.values)) <= 1e-10 * linf_norm(u)
+            assert np.max(np.abs(e.k.values - k.values)) <= 1e-10 * linf_norm(k)
 
     @pytest.mark.parametrize("gamma", [2.0, 0.5])
     def test_matches_direct_route_at_any_gamma(self, gamma):
@@ -594,7 +609,8 @@ class TestOneOperatorPerIterate:
         g = make_grid(17, 17, 1.0, 1.0)
         u, k, report = solve_level(route, HP_UNIT, 4, gaussian_source(g, amplitude=50.0),
                                    PicardConfig())
-        assert report.converged and report.truncation_active
+        # only the source cap binds here, and the chi route caps no source
+        assert report.converged and report.truncation_active == (route != "chi")
         nu_n, a_n, _ = coeffs.truncated_coefficients(HP_UNIT, k.values, 4)
         assert report.energy == weighted_energy(ScalarField(g, nu_n), u)
         assert report.dissipation == weighted_energy(ScalarField(g, a_n), k)
@@ -631,7 +647,8 @@ class TestProportionalPairOnTheUOperator:
         builds.clear()
         u_ref, k_ref, ref = solve_level(route, m, 2, f, PicardConfig())
         assert len(builds) == 2 * (ref.outer_iterations + 1)  # and A(a_n) beside it
-        assert report.converged and report.truncation_active
+        # only the source cap binds here, and the chi route caps no source
+        assert report.converged and report.truncation_active == (route != "chi")
         if rtol == 0.0:
             assert np.array_equal(u.values, u_ref.values)
             assert np.array_equal(k.values, k_ref.values)
@@ -857,6 +874,34 @@ class TestForcingCarriedOver:
         assert report == fixedpoint._final_report(16, u_re, k, frozen, HP_UNIT, report.outer_iterations,
                                                   report.converged, report.final_increment,
                                                   report.clamp_count)
+
+    def test_u_solve_certified_only_at_the_floor_is_re_solved(self, monkeypatch):
+        # level 16 keeps k bit for bit, but its one u-solve certifies only by the
+        # floor rule: the re-solve would not replay a solve that met inner_tol
+        f = self.setup_sweep()
+        cfg = PicardConfig()
+        solves = []
+        before = None  # the number of inner solves of levels 2, 4 and 8
+        solve = fixedpoint.solve_spd
+
+        def floor_certified(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            if len(solves) == before:  # level 16's u-solve
+                report = dataclasses.replace(report, at_floor=True,
+                                             relative_residual=10 * cfg.inner_tol)
+            solves.append(report)
+            return x, report
+
+        monkeypatch.setattr(fixedpoint, "solve_spd", floor_certified)
+        n_sweep(HP_UNIT, f, [2, 4, 8], cfg)
+        before = len(solves)
+        solves.clear()
+        entries = n_sweep(HP_UNIT, f, [2, 4, 8, 16], cfg)
+        level16 = solves[before:]
+        report = entries[-1].report
+        assert report.converged and report.outer_iterations == 1 and level16[1].iterations == 0
+        assert level16[0].at_floor and level16[0].relative_residual > cfg.inner_tol
+        assert len(level16) == 2 * report.outer_iterations + 1  # u and k, and the u re-solve
 
     def test_tight_start_after_a_one_iteration_level(self, monkeypatch):
         f = self.setup_sweep()

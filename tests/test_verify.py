@@ -9,6 +9,7 @@ from turbsolve import (
     ViscosityModel,
     assemble,
     chi_bound_check,
+    dissipation_source,
     energy_identity_residual,
     full_report,
     holder_diagnostic,
@@ -28,6 +29,7 @@ from turbsolve import _kernels
 from turbsolve._kernels import face_gradients
 from turbsolve.coeffs import truncated_coefficients
 from turbsolve.grid import face_average
+from turbsolve.linsolve import unit_operator
 from turbsolve.verify import default_test_fields, manufactured_forcing, manufactured_solution
 
 CONSTANT = ViscosityModel(kind="constant", nu1=1.0, a1=1.0, delta=1.0)
@@ -82,6 +84,31 @@ def face_idee_residual(u, k, f, m, n, test_set):
     return worst
 
 
+def difference_sqrt_nu_seminorm(nu_n):
+    """The seminorm of sqrt(nu_n) from 2-D interior differences: a reference
+    for the unit-stencil sqrt_nu_seminorm."""
+    g = nu_n.grid
+    root = np.sqrt(nu_n.values)
+    gx = (root[1:, :] - root[:-1, :]) / g.hx
+    gy = (root[:, 1:] - root[:, :-1]) / g.hy
+    return math.sqrt(float(np.sum(gx * gx) + np.sum(gy * gy)) * g.cell_area)
+
+
+def meshgrid_test_fields(grid):
+    """The default test family from full meshgrid arithmetic: a reference for
+    default_test_fields, which builds it from the 1-D cell centres."""
+    X, Y = grid.cell_centers()
+    fields = []
+    radius = 0.2 * min(grid.lx, grid.ly)
+    for fx in (0.25, 0.5, 0.75):
+        for fy in (0.25, 0.5, 0.75):
+            cx, cy = fx * grid.lx, fy * grid.ly
+            r2 = ((X - cx) ** 2 + (Y - cy) ** 2) / radius**2
+            fields.append(ScalarField(grid, np.clip(1.0 - r2, 0.0, None) ** 2))
+    fields.append(ScalarField.full(grid, 1.0))
+    return fields
+
+
 def face_lp_flux_norm(k, m, n, p):
     """The flux norm as face arrays with the wall faces stored, each face at
     half its measure: a reference for the flat-stencil lp_flux_norm."""
@@ -133,6 +160,18 @@ def coupled_run():
     u, k, report = picard_solve(HP_UNIT, 32, f, PicardConfig(tol=1e-11))
     assert report.converged
     return g, f, u, k
+
+
+@pytest.fixture(scope="module")
+def loaded_run():
+    """A converged pair whose energy exceeds 1, so each defect is scaled by E |phi|_inf."""
+    g = make_grid(33, 33, 1.0, 1.0)
+    f = gaussian_source(g, amplitude=50.0)
+    u, k, report = picard_solve(HP_UNIT, 32, f, PicardConfig(tol=1e-11))
+    assert report.converged
+    A = A_nu(k, HP_UNIT, 32)
+    assert A.energy(u) > 1.0
+    return g, f, u, A
 
 
 class TestEnergyIdentity:
@@ -194,6 +233,37 @@ class TestProductIdentity:
         z = ScalarField.zeros(g)
         assert idee_residual(z, z, A_nu(z, HP_UNIT, 8)) == 0.0
 
+    def test_broken_u_equation_reads_an_order_one_defect(self, loaded_run):
+        # 2u meets A(2u) = 2f, not f: with D(2u) + A(2u^2) = 4 f u at the solution,
+        # each defect is 2 <phi, f u> m, scaled by max(1, 4 E |phi|_inf)
+        g, f, u, A = loaded_run
+        assert idee_residual(u, f, A) <= 1e-10
+        E = A.energy(u)
+        expected = max(2.0 * abs(integrate(ScalarField(g, f.values * u.values * phi.values)))
+                       / max(1.0, 4.0 * E * linf_norm(phi)) for phi in default_test_fields(g))
+        assert expected > 0.1
+        assert idee_residual(ScalarField(g, 2.0 * u.values), f, A) == pytest.approx(
+            expected, rel=1e-9)
+
+    def test_perturbed_dissipation_reads_an_order_one_defect(self, loaded_run, monkeypatch):
+        # the identity reads D off the solver's dissipation kernel: 1.5 D leaves <phi, D> m / 2
+        g, f, u, A = loaded_run
+        D = dissipation_source(u, A).values
+        E = A.energy(u)
+        expected = max(0.5 * abs(integrate(ScalarField(g, D * phi.values)))
+                       / max(1.0, E * linf_norm(phi)) for phi in default_test_fields(g))
+        assert expected > 0.1
+        cells = _kernels.dissipation_cells
+        monkeypatch.setattr(_kernels, "dissipation_cells", lambda *args: 1.5 * cells(*args))
+        assert idee_residual(u, f, A) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1.0, 1.0), (17, 13, 1.3, 0.7), (5, 9, 2.0, 0.3),
+                                       (129, 129, 1.0, 1.0)])
+    def test_default_family_matches_the_meshgrid_formula(self, shape):
+        g = make_grid(*shape)
+        for a, b in zip(default_test_fields(g), meshgrid_test_fields(g), strict=True):
+            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
     def test_default_family_is_fixed(self):
         g = make_grid(16, 16, 1.0, 1.0)
         fields = default_test_fields(g)
@@ -204,14 +274,23 @@ class TestProductIdentity:
 
 
 class TestFlatStencilMatchesFaceArrays:
-    @pytest.mark.parametrize("model", [SQRT_PAIR, TABLE], ids=["sqrt", "table"])
+    @pytest.mark.parametrize("model", [CONSTANT, SQRT_PAIR, TABLE, HP_UNIT, GAMMA_3],
+                             ids=["constant", "sqrt", "table", "gamma", "gamma3"])
     def test_idee_residual(self, random_fields, model):
         u, k, f, phis = random_fields
         for phi in phis:
             ref = face_idee_residual(u, k, f, model, 3, [phi])
-            assert ref > 1e-3
+            assert ref > 1e-4  # far above rounding: 9.7e-4 at the least, on the constant model
             assert idee_residual(u, f, A_nu(k, model, 3), test_set=[phi]) == pytest.approx(
                 ref, rel=1e-13)
+
+    @pytest.mark.parametrize("model", [SQRT_PAIR, TABLE, GAMMA_3], ids=["sqrt", "table", "gamma3"])
+    def test_sqrt_nu_seminorm(self, random_fields, model):
+        u, k, f, phis = random_fields
+        nu_n = truncated(k, model, 3)[0]
+        ref = difference_sqrt_nu_seminorm(nu_n)
+        assert ref > 1.0
+        assert sqrt_nu_seminorm(nu_n) == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("p", [1.0, 1.4])
     @pytest.mark.parametrize("model", [SQRT_PAIR, TABLE], ids=["sqrt", "table"])
@@ -452,6 +531,7 @@ class TestFullReport:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
+        unit_operator(u.grid)  # the grid's shared A(1), built once per grid and not per report
         counting(ViscosityModel, "nu")
         counting(_kernels, "stencil_weights")
         full_report(u, k, f, model, 3)
